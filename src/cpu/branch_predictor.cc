@@ -8,10 +8,9 @@ namespace adcache
 {
 
 BranchPredictor::BranchPredictor(const BranchPredictorConfig &config)
-    : config_(config),
-      bimodal_(config.tableEntries, SatCounter(2, 1)),
-      gshare_(config.tableEntries, SatCounter(2, 1)),
-      meta_(config.tableEntries, SatCounter(2, 2))
+    : config_(config), historyMask_(lowMask(config.historyBits)),
+      bimodal_(config.tableEntries, 1), gshare_(config.tableEntries, 1),
+      meta_(config.tableEntries, 2)
 {
     adcache_assert(isPowerOfTwo(config.tableEntries));
     adcache_assert(config.historyBits <= 32);
@@ -26,16 +25,16 @@ BranchPredictor::bimodalIndex(Addr pc) const
 unsigned
 BranchPredictor::gshareIndex(Addr pc) const
 {
-    const Addr h = history_ & lowMask(config_.historyBits);
+    const Addr h = history_ & historyMask_;
     return unsigned(((pc >> 2) ^ h) & (config_.tableEntries - 1));
 }
 
 bool
 BranchPredictor::predict(Addr pc) const
 {
-    const bool bimodal_pred = bimodal_[bimodalIndex(pc)].high();
-    const bool gshare_pred = gshare_[gshareIndex(pc)].high();
-    const bool use_gshare = meta_[bimodalIndex(pc)].high();
+    const bool bimodal_pred = high(bimodal_[bimodalIndex(pc)]);
+    const bool gshare_pred = high(gshare_[gshareIndex(pc)]);
+    const bool use_gshare = high(meta_[bimodalIndex(pc)]);
     return use_gshare ? gshare_pred : bimodal_pred;
 }
 
@@ -46,29 +45,19 @@ BranchPredictor::update(Addr pc, bool taken)
     const unsigned bi = bimodalIndex(pc);
     const unsigned gi = gshareIndex(pc);
 
-    const bool bimodal_pred = bimodal_[bi].high();
-    const bool gshare_pred = gshare_[gi].high();
-    const bool use_gshare = meta_[bi].high();
+    const bool bimodal_pred = high(bimodal_[bi]);
+    const bool gshare_pred = high(gshare_[gi]);
+    const bool use_gshare = high(meta_[bi]);
     const bool pred = use_gshare ? gshare_pred : bimodal_pred;
     const bool mispredict = pred != taken;
-    if (mispredict)
-        ++stats_.mispredicts;
+    stats_.mispredicts += mispredict;
 
     // Train the chooser only when the components disagree.
-    if (bimodal_pred != gshare_pred) {
-        if (gshare_pred == taken)
-            meta_[bi].increment();
-        else
-            meta_[bi].decrement();
-    }
+    if (bimodal_pred != gshare_pred)
+        train(meta_[bi], gshare_pred == taken);
 
-    if (taken) {
-        bimodal_[bi].increment();
-        gshare_[gi].increment();
-    } else {
-        bimodal_[bi].decrement();
-        gshare_[gi].decrement();
-    }
+    train(bimodal_[bi], taken);
+    train(gshare_[gi], taken);
 
     history_ = (history_ << 1) | (taken ? 1 : 0);
     return mispredict;

@@ -2,7 +2,7 @@
  * @file
  * The hybrid branch predictor of Table 1: 16 KB gshare + 16 KB
  * bimodal + 16 KB meta chooser. 16 KB of 2-bit counters = 64 K
- * entries per table.
+ * entries per table, each counter held in one byte.
  */
 
 #ifndef ADCACHE_CPU_BRANCH_PREDICTOR_HH
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "util/sat_counter.hh"
 #include "util/types.hh"
 
 namespace adcache
@@ -64,13 +63,29 @@ class BranchPredictor
     const BranchPredictorStats &stats() const { return stats_; }
 
   private:
+    /**
+     * A 2-bit saturating counter, 0..3: the upper half (2, 3)
+     * predicts taken.
+     */
+    using Counter = std::uint8_t;
+
+    static bool high(Counter c) { return c >= 2; }
+
+    /** Count up (saturating at 3) or down (saturating at 0). */
+    static void
+    train(Counter &c, bool up)
+    {
+        c = up ? c + (c < 3) : c - (c > 0);
+    }
+
     unsigned bimodalIndex(Addr pc) const;
     unsigned gshareIndex(Addr pc) const;
 
     BranchPredictorConfig config_;
-    std::vector<SatCounter> bimodal_;
-    std::vector<SatCounter> gshare_;
-    std::vector<SatCounter> meta_;  //!< high = trust gshare
+    std::uint64_t historyMask_;
+    std::vector<Counter> bimodal_;
+    std::vector<Counter> gshare_;
+    std::vector<Counter> meta_;  //!< high = trust gshare
     std::uint64_t history_ = 0;
     mutable BranchPredictorStats stats_;
 };

@@ -8,7 +8,7 @@ namespace adcache
 
 Btb::Btb(const BtbConfig &config)
     : config_(config), numSets_(config.entries / config.assoc),
-      entries_(config.entries)
+      setBits_(floorLog2(numSets_)), entries_(config.entries)
 {
     adcache_assert(config.assoc >= 1);
     adcache_assert(config.entries % config.assoc == 0);
@@ -24,54 +24,63 @@ Btb::setIndex(Addr pc) const
 Addr
 Btb::tagOf(Addr pc) const
 {
-    return (pc >> 2) / numSets_;
+    return (pc >> 2) >> setBits_;
+}
+
+Btb::Probe
+Btb::probe(Addr pc)
+{
+    const Addr tag = tagOf(pc);
+    Entry *set = &entries_[std::size_t(setIndex(pc)) * config_.assoc];
+    Entry *invalid = nullptr;
+    Entry *lru = nullptr;
+    for (unsigned w = 0; w < config_.assoc; ++w) {
+        Entry &e = set[w];
+        if (!e.valid) {
+            if (!invalid)
+                invalid = &e;
+            continue;
+        }
+        if (e.tag == tag)
+            return {&e, true};
+        if (!lru || e.lastUse < lru->lastUse)
+            lru = &e;
+    }
+    return {invalid ? invalid : lru, false};
 }
 
 std::optional<Addr>
 Btb::lookup(Addr pc)
 {
     ++stats_.lookups;
-    const unsigned set = setIndex(pc);
-    const Addr tag = tagOf(pc);
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        auto &e = entries_[std::size_t(set) * config_.assoc + w];
-        if (e.valid && e.tag == tag) {
-            ++stats_.hits;
-            e.lastUse = ++clock_;
-            return e.target;
-        }
-    }
-    return std::nullopt;
+    const Probe p = probe(pc);
+    if (!p.hit)
+        return std::nullopt;
+    ++stats_.hits;
+    p.way->lastUse = ++clock_;
+    return p.way->target;
 }
 
-void
+bool
 Btb::update(Addr pc, Addr target)
 {
-    const unsigned set = setIndex(pc);
-    const Addr tag = tagOf(pc);
-    Entry *victim = nullptr;
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        auto &e = entries_[std::size_t(set) * config_.assoc + w];
-        if (e.valid && e.tag == tag) {
-            e.target = target;
-            e.lastUse = ++clock_;
-            return;
-        }
+    const Probe p = probe(pc);
+    if (!p.hit) {
+        p.way->tag = tagOf(pc);
+        p.way->valid = true;
     }
-    // Miss: fill an invalid way, else the least recently used one.
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        auto &e = entries_[std::size_t(set) * config_.assoc + w];
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (!victim || e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    victim->tag = tag;
-    victim->target = target;
-    victim->valid = true;
-    victim->lastUse = ++clock_;
+    p.way->target = target;
+    p.way->lastUse = ++clock_;
+    return p.hit;
+}
+
+bool
+Btb::resolve(Addr pc, Addr target)
+{
+    ++stats_.lookups;
+    const bool hit = update(pc, target);
+    stats_.hits += hit;
+    return hit;
 }
 
 } // namespace adcache

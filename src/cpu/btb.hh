@@ -40,8 +40,18 @@ class Btb
     /** Predicted target of the branch at @p pc, if cached. */
     std::optional<Addr> lookup(Addr pc);
 
-    /** Install/refresh the target of a taken branch. */
-    void update(Addr pc, Addr target);
+    /**
+     * Install/refresh the target of a taken branch.
+     * @return true iff the branch was already cached.
+     */
+    bool update(Addr pc, Addr target);
+
+    /**
+     * A taken branch resolved to @p target: lookup() and update() in
+     * one pass over the set.
+     * @return true iff the branch was cached (a lookup hit).
+     */
+    bool resolve(Addr pc, Addr target);
 
     const BtbStats &stats() const { return stats_; }
 
@@ -54,11 +64,25 @@ class Btb
         bool valid = false;
     };
 
+    /** The way of @p pc's set holding it, and whether it is there. */
+    struct Probe
+    {
+        Entry *way;  //!< the hit, else the way a fill claims
+        bool hit;
+    };
+
+    /**
+     * Scan @p pc's set once: its way on a hit, else the first
+     * invalid way, else the least recently used one.
+     */
+    Probe probe(Addr pc);
+
     unsigned setIndex(Addr pc) const;
     Addr tagOf(Addr pc) const;
 
     BtbConfig config_;
     unsigned numSets_;
+    unsigned setBits_;  //!< log2(numSets_)
     std::vector<Entry> entries_;
     std::uint64_t clock_ = 0;
     BtbStats stats_;

@@ -6,63 +6,29 @@ namespace adcache
 {
 
 FuncUnits::FuncUnits(const FuncUnitConfig &config)
-    : config_(config), intAlu_(config.intAluCount, 0),
-      intMult_(config.intMultCount, 0), fpAdd_(config.fpAddCount, 0),
-      fpDiv_(config.fpDivCount, 0), memPort_(config.memPortCount, 0)
 {
     adcache_assert(config.intAluCount >= 1);
     adcache_assert(config.memPortCount >= 1);
-}
-
-std::vector<Cycle> &
-FuncUnits::poolFor(InstrClass cls)
-{
-    switch (cls) {
-      case InstrClass::IntMult:
-        return intMult_;
-      case InstrClass::FpAdd:
-        return fpAdd_;
-      case InstrClass::FpDiv:
-        return fpDiv_;
-      case InstrClass::Load:
-      case InstrClass::Store:
-        return memPort_;
-      default:
-        return intAlu_;  // IntAlu and Branch share the ALUs
-    }
-}
-
-Cycle
-FuncUnits::latency(InstrClass cls) const
-{
-    switch (cls) {
-      case InstrClass::IntMult:
-        return config_.intMultLatency;
-      case InstrClass::FpAdd:
-        return config_.fpAddLatency;
-      case InstrClass::FpDiv:
-        return config_.fpDivLatency;
-      case InstrClass::Load:
-      case InstrClass::Store:
-        return 1;  // port slot; hierarchy latency added by caller
-      default:
-        return config_.intAluLatency;
-    }
-}
-
-Cycle
-FuncUnits::issue(InstrClass cls, Cycle ready)
-{
-    auto &pool = poolFor(cls);
-    // Pick the unit that frees up first.
-    std::size_t best = 0;
-    for (std::size_t u = 1; u < pool.size(); ++u)
-        if (pool[u] < pool[best])
-            best = u;
-    const Cycle start = ready > pool[best] ? ready : pool[best];
-    // Pipelined: the unit accepts another op next cycle.
-    pool[best] = start + 1;
-    return start;
+    const auto add_pool = [&](unsigned units, Cycle latency) {
+        const Pool pool{unsigned(freeAt_.size()), units, latency};
+        freeAt_.resize(freeAt_.size() + units, 0);
+        return pool;
+    };
+    // IntAlu and Branch share the ALUs; loads and stores share the
+    // memory ports, occupying a port slot for one cycle (the
+    // hierarchy latency is added by the caller).
+    const Pool alu = add_pool(config.intAluCount, config.intAluLatency);
+    const Pool mem = add_pool(config.memPortCount, 1);
+    pools_[std::size_t(InstrClass::IntAlu)] = alu;
+    pools_[std::size_t(InstrClass::Branch)] = alu;
+    pools_[std::size_t(InstrClass::Load)] = mem;
+    pools_[std::size_t(InstrClass::Store)] = mem;
+    pools_[std::size_t(InstrClass::IntMult)] =
+        add_pool(config.intMultCount, config.intMultLatency);
+    pools_[std::size_t(InstrClass::FpAdd)] =
+        add_pool(config.fpAddCount, config.fpAddLatency);
+    pools_[std::size_t(InstrClass::FpDiv)] =
+        add_pool(config.fpDivCount, config.fpDivLatency);
 }
 
 } // namespace adcache

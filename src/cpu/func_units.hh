@@ -47,27 +47,58 @@ class FuncUnits
 
     /**
      * Schedule an operation of class @p cls that becomes ready at
-     * @p ready.
+     * @p ready, on the unit of its pool that frees up first (the
+     * lowest-numbered one on a tie).
      * @return the cycle the operation issues (>= ready).
      *
      * Loads/stores schedule their address-generation/memory-port slot
      * here; the cache latency is added by the caller.
      */
-    Cycle issue(InstrClass cls, Cycle ready);
+    Cycle
+    issue(InstrClass cls, Cycle ready)
+    {
+        const Pool &pool = pools_[std::size_t(cls)];
+        Cycle *free_at = freeAt_.data() + pool.first;
+        unsigned best = 0;
+        Cycle best_at = free_at[0];
+        for (unsigned u = 1; u < pool.units; ++u) {
+            const bool earlier = free_at[u] < best_at;
+            best = earlier ? u : best;
+            best_at = earlier ? free_at[u] : best_at;
+        }
+        const Cycle start = ready > best_at ? ready : best_at;
+        // Pipelined: the unit accepts another op next cycle.
+        free_at[best] = start + 1;
+        return start;
+    }
 
     /** Execution latency of class @p cls (1 for loads/stores: port
      *  occupancy only; memory time is modelled by the hierarchy). */
-    Cycle latency(InstrClass cls) const;
+    Cycle
+    latency(InstrClass cls) const
+    {
+        return pools_[std::size_t(cls)].latency;
+    }
+
+    /** Cycle unit @p unit of @p cls's pool next accepts an op. */
+    Cycle
+    freeAt(InstrClass cls, unsigned unit) const
+    {
+        return freeAt_[pools_[std::size_t(cls)].first + unit];
+    }
 
   private:
-    std::vector<Cycle> &poolFor(InstrClass cls);
+    /** The units serving one instruction class. */
+    struct Pool
+    {
+        unsigned first = 0;  //!< index of its first unit in freeAt_
+        unsigned units = 0;
+        Cycle latency = 0;
+    };
 
-    FuncUnitConfig config_;
-    std::vector<Cycle> intAlu_;
-    std::vector<Cycle> intMult_;
-    std::vector<Cycle> fpAdd_;
-    std::vector<Cycle> fpDiv_;
-    std::vector<Cycle> memPort_;
+    std::array<Pool, std::size_t(InstrClass::NumClasses)> pools_;
+    /** Busy-until time of every unit, pool after pool. */
+    std::vector<Cycle> freeAt_;
 };
 
 } // namespace adcache

@@ -68,8 +68,12 @@ OooCore::run(TraceSource &source, MemoryInterface &mem,
     // Ring buffers over the last robSize retire times and rsSize
     // issue times: entry (i - robSize) bounds instruction i's
     // dispatch (a ROB slot frees when that instruction retires).
+    // Slots start at cycle 0, which bounds nothing, so the first
+    // robSize (rsSize) instructions pass freely.
     std::vector<Cycle> retire_ring(config_.robSize, 0);
     std::vector<Cycle> issue_ring(config_.rsSize, 0);
+    std::size_t rob_slot = 0;  // instruction index mod robSize
+    std::size_t rs_slot = 0;   // instruction index mod rsSize
 
     WidthLimiter fetch_limit(config_.fetchWidth);
     WidthLimiter dispatch_limit(config_.dispatchWidth);
@@ -83,7 +87,7 @@ OooCore::run(TraceSource &source, MemoryInterface &mem,
     TraceInstr instr;
     InstCount n = 0;
     while (n < max_instrs && source.next(instr)) {
-        const InstCount i = n++;
+        ++n;
 
         // ---------------- Fetch ----------------
         const Addr line = instr.pc >> fetch_line_shift;
@@ -95,13 +99,8 @@ OooCore::run(TraceSource &source, MemoryInterface &mem,
             std::max(fetch_ready, fetch_limit.schedule(fetch_ready));
 
         // ---------------- Dispatch ----------------
-        Cycle dispatch_lb = fetched;
-        if (i >= config_.robSize)
-            dispatch_lb = std::max(
-                dispatch_lb, retire_ring[i % config_.robSize]);
-        if (i >= config_.rsSize)
-            dispatch_lb =
-                std::max(dispatch_lb, issue_ring[i % config_.rsSize]);
+        const Cycle dispatch_lb = std::max(
+            {fetched, retire_ring[rob_slot], issue_ring[rs_slot]});
         const Cycle dispatched = dispatch_limit.schedule(dispatch_lb);
 
         // ---------------- Issue ----------------
@@ -111,7 +110,9 @@ OooCore::run(TraceSource &source, MemoryInterface &mem,
         if (instr.src2 != noReg)
             ready = std::max(ready, reg_ready[instr.src2]);
         const Cycle issued = fus.issue(instr.cls, ready);
-        issue_ring[i % config_.rsSize] = issued;
+        issue_ring[rs_slot] = issued;
+        if (++rs_slot == issue_ring.size())
+            rs_slot = 0;
 
         // ---------------- Execute / complete ----------------
         Cycle complete;
@@ -136,13 +137,10 @@ OooCore::run(TraceSource &source, MemoryInterface &mem,
             ++stats.branches;
             const bool mispredict = predictor.update(instr.pc,
                                                      instr.taken);
-            bool btb_miss = false;
-            if (instr.taken) {
-                btb_miss = !btb.lookup(instr.pc).has_value();
-                btb.update(instr.pc, instr.target);
-                if (btb_miss)
-                    ++stats.btbMisses;
-            }
+            const bool btb_miss =
+                instr.taken && !btb.resolve(instr.pc, instr.target);
+            if (btb_miss)
+                ++stats.btbMisses;
             if (mispredict) {
                 ++stats.mispredicts;
                 // The fetch stream restarts after resolution.
@@ -175,7 +173,9 @@ OooCore::run(TraceSource &source, MemoryInterface &mem,
             store_buffer.push(retired, drain_done);
         }
         prev_retire = std::max(prev_retire, retired);
-        retire_ring[i % config_.robSize] = retired;
+        retire_ring[rob_slot] = retired;
+        if (++rob_slot == retire_ring.size())
+            rob_slot = 0;
     }
 
     stats.instructions = n;

@@ -13,22 +13,16 @@ StoreBuffer::StoreBuffer(unsigned entries) : drainDone_(entries, 0)
     adcache_assert(entries >= 1);
 }
 
-Cycle
-StoreBuffer::earliestSlot(Cycle retire_ready) const
-{
-    const Cycle first_free =
-        *std::min_element(drainDone_.begin(), drainDone_.end());
-    return std::max(retire_ready, first_free);
-}
-
 void
 StoreBuffer::push(Cycle retire, Cycle drain_done)
 {
-    auto slot = std::min_element(drainDone_.begin(), drainDone_.end());
     ++stats_.stores;
-    if (*slot > retire)
+    if (drainDone_[first_] > retire)
         panic("store buffer entry claimed before it is free");
-    *slot = drain_done;
+    drainDone_[first_] = drain_done;
+    first_ = std::size_t(
+        std::min_element(drainDone_.begin(), drainDone_.end()) -
+        drainDone_.begin());
 }
 
 void

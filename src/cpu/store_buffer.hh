@@ -48,7 +48,12 @@ class StoreBuffer
      * Earliest cycle (>= @p retire_ready) at which a new store can
      * claim an entry.
      */
-    Cycle earliestSlot(Cycle retire_ready) const;
+    Cycle
+    earliestSlot(Cycle retire_ready) const
+    {
+        const Cycle first_free = drainDone_[first_];
+        return retire_ready > first_free ? retire_ready : first_free;
+    }
 
     /**
      * Commit a store: claims the entry that frees first.
@@ -64,6 +69,8 @@ class StoreBuffer
 
   private:
     std::vector<Cycle> drainDone_;
+    /** The entry that frees first (the lowest-numbered on a tie). */
+    std::size_t first_ = 0;
     StoreBufferStats stats_;
 };
 

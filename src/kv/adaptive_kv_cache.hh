@@ -200,6 +200,12 @@ class AdaptiveKvCache
     const KvConfig &config() const { return config_; }
 
   private:
+    /** A shard mutex alone on its cache line, so locking one shard
+     *  never bounces a line another shard's lockers use. */
+    struct alignas(64) ShardMutex : std::mutex
+    {
+    };
+
     std::uint64_t hashOf(KvKey key) const;
     bool setPinned(KvKey key, bool pinned);
 
@@ -208,7 +214,7 @@ class AdaptiveKvCache
     /** TTL clock (declared before the shards that point at it). */
     std::atomic<std::uint64_t> clock_{0};
     std::vector<std::unique_ptr<KvShard>> shards_;
-    mutable std::vector<std::mutex> locks_;
+    mutable std::vector<ShardMutex> locks_;
 };
 
 } // namespace adcache::kv

@@ -853,20 +853,15 @@ KvShard::tryProbe(KvKey key, std::uint64_t h,
                 ++retries;
                 continue;
             }
-            *retries_out = retries;
-            gets_.fetch_add(1, std::memory_order_relaxed);
-            return ProbeResult::Miss;
+            return validatedMiss(retries, retries_out);
         }
         // A lapsed stamp is a validated miss without any seqlock
         // check: the clock was read before the stamp and only moves
         // forward, so the entry was provably expired at the instant
         // of the stamp load. The unlink itself stays lazy (it needs
         // the mutex) — the next locked contact purges the entry.
-        if (isExpired(found)) {
-            *retries_out = retries;
-            gets_.fetch_add(1, std::memory_order_relaxed);
-            return ProbeResult::Miss;
-        }
+        if (isExpired(found))
+            return validatedMiss(retries, retries_out);
         // Hits need no seqlock validation: key/tag are immutable
         // once published, the value is an immutable heap string
         // swapped by pointer, and the epoch guard keeps both the
@@ -887,6 +882,16 @@ KvShard::tryProbe(KvKey key, std::uint64_t h,
     }
     *retries_out = retries;
     return ProbeResult::NeedSlow;
+}
+
+KvShard::ProbeResult
+KvShard::validatedMiss(unsigned retries, unsigned *retries_out)
+{
+    *retries_out = retries;
+    gets_.fetch_add(1, std::memory_order_relaxed);
+    if (retries > 0)
+        readRetries_.fetch_add(retries, std::memory_order_relaxed);
+    return ProbeResult::Miss;
 }
 
 void

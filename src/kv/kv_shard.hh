@@ -291,6 +291,9 @@ class KvShard
     unsigned bucketOf(std::uint64_t h) const;
     std::uint64_t tagOf(std::uint64_t h) const;
 
+    /** Account tryProbe's validated miss after @p retries re-walks. */
+    ProbeResult validatedMiss(unsigned retries, unsigned *retries_out);
+
     /** Selection domain of @p bucket (per bucket, or the shard). */
     unsigned
     domainOf(unsigned bucket) const

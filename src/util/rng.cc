@@ -1,8 +1,10 @@
 #include "util/rng.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
+#include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace adcache
@@ -21,12 +23,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -36,37 +32,13 @@ Rng::Rng(std::uint64_t seed)
         word = splitmix64(x);
 }
 
-std::uint64_t
-Rng::next64()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::below(std::uint64_t bound)
+Rng::Bound::Bound(std::uint64_t bound)
+    : bound_(bound), threshold_(0), reciprocal_(0)
 {
     adcache_assert(bound > 0);
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-        const std::uint64_t r = next64();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-double
-Rng::uniform()
-{
-    return static_cast<double>(next64() >> 11) * 0x1.0p-53;
+    threshold_ = (0 - bound) % bound;
+    if (!isPowerOfTwo(bound))
+        reciprocal_ = ~static_cast<unsigned __int128>(0) / bound + 1;
 }
 
 std::uint64_t
@@ -82,7 +54,7 @@ Rng::zipfApprox(std::uint64_t n, double s)
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double s) : n_(n)
 {
-    adcache_assert(n > 0);
+    adcache_assert(n > 0 && n - 1 <= UINT32_MAX);
     cdf_.resize(n);
     double total = 0.0;
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -91,14 +63,20 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s) : n_(n)
     }
     for (auto &c : cdf_)
         c /= total;
-}
 
-std::uint64_t
-ZipfSampler::operator()(Rng &rng) const
-{
-    const double u = rng.uniform();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::uint64_t>(it - cdf_.begin());
+    // About one cut point per rank, at most 4096; a power of two
+    // keeps j / m and u * m exact.
+    const std::uint64_t m =
+        std::min<std::uint64_t>(4096, std::bit_ceil(n));
+    guideScale_ = double(m);
+    guide_.resize(m + 1);
+    std::uint64_t i = 0;
+    for (std::uint64_t j = 0; j <= m; ++j) {
+        const double cut = double(j) / guideScale_;
+        while (i + 1 < n && cdf_[i] < cut)
+            ++i;
+        guide_[j] = std::uint32_t(i);
+    }
 }
 
 namespace

@@ -60,17 +60,22 @@ class SetColoredLoopKernel : public AccessKernel
     Addr
     next(Rng &) override
     {
-        const unsigned set = firstSet_ + unsigned(k_ % spanSets_);
-        const unsigned d = unsigned((k_ / spanSets_) % depth_);
-        ++k_;
-        return base_ + Addr(d) * referenceSetPeriod +
-               Addr(set % referenceNumSets) * line;
+        const unsigned set = firstSet_ + setPos_;
+        const Addr a = base_ + Addr(depthPos_) * referenceSetPeriod +
+                       Addr(set % referenceNumSets) * line;
+        if (++setPos_ == spanSets_) {
+            setPos_ = 0;
+            if (++depthPos_ == depth_)
+                depthPos_ = 0;
+        }
+        return a;
     }
 
   private:
     Addr base_;
     unsigned firstSet_, spanSets_, depth_;
-    std::uint64_t k_ = 0;
+    unsigned setPos_ = 0;    //!< k % spanSets after k references
+    unsigned depthPos_ = 0;  //!< (k / spanSets) % depth
 };
 
 /**
@@ -93,13 +98,16 @@ class HotColdKernel : public AccessKernel
           hotSequential_(hot_sequential),
           spanSets_(std::min<unsigned>(span_sets, referenceNumSets)),
           hotBlocks_(std::max<std::uint64_t>(1, hot_bytes / line)),
-          zipf_(hotBlocks_, zipf_s), perm_(hotBlocks_)
+          zipf_(hotBlocks_, zipf_s), rankOffset_(hotBlocks_)
     {
         // Scatter zipf ranks over the region so the hottest blocks
         // spread across cache sets instead of clustering at the base.
-        std::iota(perm_.begin(), perm_.end(), std::uint64_t{0});
+        std::iota(rankOffset_.begin(), rankOffset_.end(),
+                  std::uint64_t{0});
         for (std::uint64_t i = hotBlocks_ - 1; i > 0; --i)
-            std::swap(perm_[i], perm_[rng.below(i + 1)]);
+            std::swap(rankOffset_[i], rankOffset_[rng.below(i + 1)]);
+        for (auto &block : rankOffset_)
+            block = hotLayout(block);
         // A set-restricted hot layout spreads over more address space
         // than hot_bytes; keep the cold stream clear of it.
         if (spanSets_ < referenceNumSets) {
@@ -123,14 +131,12 @@ class HotColdKernel : public AccessKernel
             hot = rng.chance(hotProb_);
         }
         if (hot) {
-            std::uint64_t block;
-            if (hotSequential_) {
-                block = hotPos_;
-                hotPos_ = (hotPos_ + 1) % hotBlocks_;
-            } else {
-                block = perm_[zipf_(rng)];
-            }
-            return hotBase_ + hotLayout(block);
+            if (!hotSequential_)
+                return hotBase_ + rankOffset_[zipf_(rng)];
+            const Addr a = hotBase_ + hotLayout(hotPos_);
+            if (++hotPos_ == hotBlocks_)
+                hotPos_ = 0;
+            return a;
         }
         const Addr a = coldBase_ + coldLayout(coldPos_);
         coldPos_ += coldStride_;
@@ -175,7 +181,8 @@ class HotColdKernel : public AccessKernel
     unsigned spanSets_;
     std::uint64_t hotBlocks_;
     ZipfSampler zipf_;
-    std::vector<std::uint64_t> perm_;
+    /** Zipf rank -> offset of its (scattered) hot block. */
+    std::vector<Addr> rankOffset_;
     std::uint64_t coldPos_ = 0;
     std::uint64_t hotPos_ = 0;
     std::uint64_t runPos_ = 0;
@@ -189,17 +196,28 @@ class ZipfKernel : public AccessKernel
     ZipfKernel(Addr base, std::uint64_t bytes, double s,
                std::uint64_t drift_period, std::uint64_t drift_bytes,
                unsigned first_set, unsigned span_sets, Rng &rng)
-        : base_(base), bytes_(bytes),
+        : base_(base),
           blocks_(std::max<std::uint64_t>(1, bytes / line)),
-          firstSet_(first_set),
-          spanSets_(std::min<unsigned>(span_sets, referenceNumSets)),
-          zipf_(blocks_, s), perm_(blocks_),
+          zipf_(blocks_, s), rankOffset_(blocks_),
           driftPeriod_(drift_period),
-          driftRanks_(std::max<std::uint64_t>(1, drift_bytes / line))
+          driftRanks_(std::max<std::uint64_t>(1, drift_bytes / line) %
+                      blocks_)
     {
-        std::iota(perm_.begin(), perm_.end(), std::uint64_t{0});
+        std::iota(rankOffset_.begin(), rankOffset_.end(),
+                  std::uint64_t{0});
         for (std::uint64_t i = blocks_ - 1; i > 0; --i)
-            std::swap(perm_[i], perm_[rng.below(i + 1)]);
+            std::swap(rankOffset_[i], rankOffset_[rng.below(i + 1)]);
+        const unsigned span =
+            std::min<unsigned>(span_sets, referenceNumSets);
+        for (auto &block : rankOffset_) {
+            // Set-confined layout: spread the footprint over chunks
+            // one set-period apart so only [firstSet,
+            // firstSet+spanSets) of the reference geometry is touched.
+            block = span >= referenceNumSets
+                        ? block * line
+                        : Addr(first_set + block % span) * line +
+                              Addr(block / span) * referenceSetPeriod;
+        }
     }
 
     Addr
@@ -211,27 +229,27 @@ class ZipfKernel : public AccessKernel
         // counts — poison for LFU) while LRU simply stops touching
         // them. Most addresses stay hot across a step, so LRU pays
         // only the small per-step turnover.
-        if (driftPeriod_ != 0 && ++refs_ % driftPeriod_ == 0)
-            rotation_ = (rotation_ + driftRanks_) % blocks_;
-        const std::uint64_t rank = (zipf_(rng) + rotation_) % blocks_;
-        const std::uint64_t block = perm_[rank];
-        if (spanSets_ >= referenceNumSets)
-            return base_ + block * line;
-        // Set-confined layout: spread the footprint over chunks one
-        // set-period apart so only [firstSet, firstSet+spanSets) of
-        // the reference geometry is touched.
-        return base_ + Addr(firstSet_ + block % spanSets_) * line +
-               Addr(block / spanSets_) * referenceSetPeriod;
+        if (driftPeriod_ != 0 && ++refs_ == driftPeriod_) {
+            refs_ = 0;
+            rotation_ += driftRanks_;
+            if (rotation_ >= blocks_)
+                rotation_ -= blocks_;
+        }
+        std::uint64_t rank = zipf_(rng) + rotation_;
+        if (rank >= blocks_)
+            rank -= blocks_;
+        return base_ + rankOffset_[rank];
     }
 
   private:
     Addr base_;
-    std::uint64_t bytes_, blocks_;
-    unsigned firstSet_, spanSets_;
+    std::uint64_t blocks_;
     ZipfSampler zipf_;
-    std::vector<std::uint64_t> perm_;
-    std::uint64_t driftPeriod_, driftRanks_;
-    std::uint64_t refs_ = 0;
+    /** Unrotated rank -> offset of its (scattered) block. */
+    std::vector<Addr> rankOffset_;
+    std::uint64_t driftPeriod_;
+    std::uint64_t driftRanks_;  //!< ranks per drift step, mod blocks_
+    std::uint64_t refs_ = 0;    //!< references since the last step
     std::uint64_t rotation_ = 0;
 };
 
@@ -284,7 +302,7 @@ class UniformRandomKernel : public AccessKernel
 
   private:
     Addr base_;
-    std::uint64_t blocks_;
+    Rng::Bound blocks_;
 };
 
 /** Strided pass with neighbour touches (mgrid RPRJ3-like). */
@@ -293,40 +311,44 @@ class StridedSweepKernel : public AccessKernel
   public:
     StridedSweepKernel(Addr base, std::uint64_t bytes,
                        std::uint64_t stride, unsigned neighbours)
-        : base_(base), bytes_(bytes), stride_(stride),
-          neighbours_(neighbours)
+        : base_(base), bytes_(bytes), stride_(stride)
     {
         adcache_assert(stride >= 1 && bytes >= stride);
+        // Alternate +line, -line, +2*line, ... around the pivot, each
+        // reduced into [0, bytes) so a touch wraps with one compare.
+        for (unsigned k = 0; k < neighbours; ++k) {
+            const std::int64_t delta =
+                (k % 2 == 0 ? 1 : -1) * std::int64_t(line) *
+                (std::int64_t(k) / 2 + 1);
+            const std::int64_t b = std::int64_t(bytes);
+            neighbourDelta_.push_back(
+                std::uint64_t((delta % b + b) % b));
+        }
     }
 
     Addr
     next(Rng &) override
     {
-        if (pendingNeighbour_ < neighbours_) {
-            const unsigned k = pendingNeighbour_++;
-            // Alternate +line, -line, +2*line, ... around the pivot.
-            const std::int64_t delta =
-                (k % 2 == 0 ? 1 : -1) * std::int64_t(line) *
-                (std::int64_t(k) / 2 + 1);
-            const std::int64_t off =
-                std::int64_t(pos_) + delta;
-            const std::uint64_t wrapped =
-                std::uint64_t(off % std::int64_t(bytes_) +
-                              std::int64_t(bytes_)) %
-                bytes_;
-            return base_ + wrapped;
+        if (pendingNeighbour_ < neighbourDelta_.size()) {
+            std::uint64_t off =
+                pos_ + neighbourDelta_[pendingNeighbour_++];
+            if (off >= bytes_)
+                off -= bytes_;
+            return base_ + off;
         }
         pendingNeighbour_ = 0;
         const Addr a = base_ + pos_;
-        pos_ = (pos_ + stride_) % bytes_;
+        pos_ += stride_;
+        if (pos_ >= bytes_)
+            pos_ -= bytes_;
         return a;
     }
 
   private:
     Addr base_;
     std::uint64_t bytes_, stride_;
-    unsigned neighbours_;
-    unsigned pendingNeighbour_ = 0;
+    std::vector<std::uint64_t> neighbourDelta_;
+    std::size_t pendingNeighbour_ = 0;
     std::uint64_t pos_ = 0;
 };
 

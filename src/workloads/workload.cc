@@ -6,7 +6,7 @@ namespace adcache
 {
 
 WorkloadGenerator::WorkloadGenerator(WorkloadSpec spec)
-    : spec_(std::move(spec)), rng_(spec_.seed)
+    : spec_(std::move(spec)), rng_(spec_.seed), window_(1)
 {
     adcache_assert(!spec_.phases.empty());
     for (const auto &phase : spec_.phases) {
@@ -46,7 +46,11 @@ WorkloadGenerator::enterPhase(std::size_t index)
     for (auto &c : kernelCdf_)
         c /= total > 0.0 ? total : 1.0;
 
-    recentDst_.assign(std::max(1u, phase.depWindow), noReg);
+    window_ = Rng::Bound(std::max(1u, phase.depWindow));
+    recentDst_.assign(window_.value(), noReg);
+    // A smaller window than the last phase's can leave the ring
+    // position past its end; wrap it into the new window.
+    recentPos_ %= recentDst_.size();
 
     // Lay out the phase's static code. The layout generator is
     // seeded from (workload seed, phase index) only, so re-entering
@@ -81,6 +85,10 @@ WorkloadGenerator::enterPhase(std::size_t index)
     }
     // The final slot closes the loop body.
     slots_.back() = CodeSlot{InstrClass::Branch, true, false, true};
+    codeBytes_ = slots_.size() * 4;
+    // The program counter carries over from the last phase, whose
+    // code may have been larger.
+    slot_ = pcOffset_ / 4 % slots_.size();
 }
 
 Addr
@@ -108,19 +116,21 @@ WorkloadGenerator::next(TraceInstr &out)
 
     out = TraceInstr{};
     out.pc = codeBase_ + pcOffset_;
-    const CodeSlot &slot = slots_[pcOffset_ / 4 % slots_.size()];
+    const CodeSlot &slot = slots_[slot_];
 
     // Advance the program counter through the loop body.
     pcOffset_ += 4;
-    if (pcOffset_ >= slots_.size() * 4)
+    ++slot_;
+    if (pcOffset_ >= codeBytes_) {
         pcOffset_ = 0;
+        slot_ = 0;
+    }
 
     out.cls = slot.cls;
 
     // Source operands come from recently produced values.
     auto pick_src = [&]() -> std::uint8_t {
-        const auto idx = rng_.below(recentDst_.size());
-        return recentDst_[idx];
+        return recentDst_[rng_.below(window_)];
     };
 
     switch (out.cls) {
@@ -165,7 +175,8 @@ WorkloadGenerator::next(TraceInstr &out)
                        ? std::uint8_t{1}
                        : std::uint8_t(nextDst_ + 1);
         recentDst_[recentPos_] = out.dst;
-        recentPos_ = (recentPos_ + 1) % recentDst_.size();
+        if (++recentPos_ == recentDst_.size())
+            recentPos_ = 0;
     }
 
     // Phase bookkeeping.

@@ -107,9 +107,12 @@ class WorkloadGenerator : public TraceSource
     // Code layout: a loop over [codeBase, codeBase+footprint).
     Addr codeBase_ = 0x0040'0000;
     std::uint64_t pcOffset_ = 0;
+    std::uint64_t codeBytes_ = 0;  //!< slots_.size() * 4
+    std::size_t slot_ = 0;         //!< slot of the next instruction
 
     // Register allocation state.
     std::uint8_t nextDst_ = 1;
+    Rng::Bound window_;  //!< dependence window
     std::vector<std::uint8_t> recentDst_;
     std::size_t recentPos_ = 0;
     bool done_ = false;

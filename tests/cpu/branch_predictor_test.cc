@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "util/bits.hh"
 #include "util/rng.hh"
+#include "util/sat_counter.hh"
 
 namespace adcache
 {
@@ -107,6 +111,103 @@ TEST(BranchPredictor, DistinctPcsIndependentInBimodal)
     }
     EXPECT_TRUE(bp.predict(0x1000));
     EXPECT_FALSE(bp.predict(0x2000));
+}
+
+/**
+ * The reference hybrid predictor: the same tables, indexing and
+ * training, with every counter a SatCounter(2, ...) state machine.
+ */
+class ReferencePredictor
+{
+  public:
+    explicit ReferencePredictor(const BranchPredictorConfig &c)
+        : c_(c), bimodal_(c.tableEntries, SatCounter(2, 1)),
+          gshare_(c.tableEntries, SatCounter(2, 1)),
+          meta_(c.tableEntries, SatCounter(2, 2))
+    {
+    }
+
+    bool
+    predict(Addr pc) const
+    {
+        return meta_[bi(pc)].high() ? gshare_[gi(pc)].high()
+                                    : bimodal_[bi(pc)].high();
+    }
+
+    bool
+    update(Addr pc, bool taken)
+    {
+        const unsigned b = bi(pc), g = gi(pc);
+        const bool bimodal_pred = bimodal_[b].high();
+        const bool gshare_pred = gshare_[g].high();
+        const bool pred = meta_[b].high() ? gshare_pred : bimodal_pred;
+        if (bimodal_pred != gshare_pred) {
+            if (gshare_pred == taken)
+                meta_[b].increment();
+            else
+                meta_[b].decrement();
+        }
+        if (taken) {
+            bimodal_[b].increment();
+            gshare_[g].increment();
+        } else {
+            bimodal_[b].decrement();
+            gshare_[g].decrement();
+        }
+        history_ = (history_ << 1) | (taken ? 1 : 0);
+        return pred != taken;
+    }
+
+  private:
+    unsigned
+    bi(Addr pc) const
+    {
+        return unsigned((pc >> 2) & (c_.tableEntries - 1));
+    }
+
+    unsigned
+    gi(Addr pc) const
+    {
+        const Addr h = history_ & lowMask(c_.historyBits);
+        return unsigned(((pc >> 2) ^ h) & (c_.tableEntries - 1));
+    }
+
+    BranchPredictorConfig c_;
+    std::vector<SatCounter> bimodal_, gshare_, meta_;
+    std::uint64_t history_ = 0;
+};
+
+TEST(BranchPredictor, MatchesSatCounterReference)
+{
+    BranchPredictorConfig small;
+    small.tableEntries = 1024;  // heavy aliasing
+    small.historyBits = 10;
+    for (const BranchPredictorConfig &config :
+         {BranchPredictorConfig{}, small}) {
+        BranchPredictor bp(config);
+        ReferencePredictor ref(config);
+        // A static branch population with per-branch biases, drawn
+        // in a random order: biased, random and alternating-ish mixes.
+        Rng rng(config.tableEntries);
+        std::vector<Addr> pcs(4096);
+        std::vector<double> bias(pcs.size());
+        for (std::size_t b = 0; b < pcs.size(); ++b) {
+            pcs[b] = 0x400000 + 4 * rng.below(1 << 20);
+            bias[b] = rng.uniform();
+        }
+        std::uint64_t mispredicts = 0;
+        for (int i = 0; i < 1'000'000; ++i) {
+            const std::size_t b = rng.below(pcs.size());
+            const bool taken = rng.chance(bias[b]);
+            ASSERT_EQ(bp.predict(pcs[b]), ref.predict(pcs[b]))
+                << "branch " << i;
+            const bool miss = bp.update(pcs[b], taken);
+            ASSERT_EQ(miss, ref.update(pcs[b], taken)) << "branch " << i;
+            mispredicts += miss;
+        }
+        EXPECT_EQ(bp.stats().lookups, 1'000'000u);
+        EXPECT_EQ(bp.stats().mispredicts, mispredicts);
+    }
 }
 
 } // namespace

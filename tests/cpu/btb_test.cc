@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hh"
+
 namespace adcache
 {
 namespace
@@ -71,6 +73,29 @@ TEST(Btb, StatsTrackHits)
     btb.lookup(0x44);
     EXPECT_EQ(btb.stats().lookups, 2u);
     EXPECT_EQ(btb.stats().hits, 1u);
+}
+
+TEST(Btb, ResolveEqualsLookupThenUpdate)
+{
+    BtbConfig small;
+    small.entries = 64;
+    small.assoc = 4;
+    for (const BtbConfig &config : {BtbConfig{}, small}) {
+        Btb fused(config), split(config);
+        Rng rng(config.entries);
+        for (int i = 0; i < 200'000; ++i) {
+            const Addr pc = 0x400000 + 4 * rng.below(8192);
+            const Addr target = pc + 4 * rng.below(64);
+            const bool hit = split.lookup(pc).has_value();
+            split.update(pc, target);
+            ASSERT_EQ(fused.resolve(pc, target), hit) << "branch " << i;
+        }
+        EXPECT_EQ(fused.stats().lookups, split.stats().lookups);
+        EXPECT_EQ(fused.stats().hits, split.stats().hits);
+        // Same contents and targets afterwards.
+        for (Addr pc = 0x400000; pc < 0x400000 + 4 * 8192; pc += 4)
+            ASSERT_EQ(fused.lookup(pc), split.lookup(pc)) << pc;
+    }
 }
 
 } // namespace

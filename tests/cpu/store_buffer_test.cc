@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "util/rng.hh"
+
 namespace adcache
 {
 namespace
@@ -66,6 +71,30 @@ TEST(StoreBuffer, PushCountsStores)
     sb.push(0, 10);
     sb.push(1, 12);
     EXPECT_EQ(sb.stats().stores, 2u);
+}
+
+TEST(StoreBuffer, MatchesReferenceEntryScan)
+{
+    // Reference: each event scans for the entry that frees first
+    // (std::min_element: the lowest-numbered on a tie).
+    for (unsigned entries : {1u, 2u, 4u, 7u}) {
+        StoreBuffer sb(entries);
+        std::vector<Cycle> drain(entries, 0);
+        Rng rng(entries);
+        Cycle retire = 0;
+        for (int i = 0; i < 100'000; ++i) {
+            retire += rng.below(4);
+            const Cycle first =
+                *std::min_element(drain.begin(), drain.end());
+            const Cycle slot = std::max(retire, first);
+            ASSERT_EQ(sb.earliestSlot(retire), slot) << "store " << i;
+            retire = slot;
+            const Cycle done = retire + rng.below(3) * rng.below(60);
+            *std::min_element(drain.begin(), drain.end()) = done;
+            sb.push(retire, done);
+        }
+        EXPECT_EQ(sb.stats().stores, 100'000u);
+    }
 }
 
 } // namespace

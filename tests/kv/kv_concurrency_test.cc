@@ -14,7 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
+
+#include "kv/read_path.hh"
 
 #include "sim/runner.hh"
 #include "workloads/key_stream.hh"
@@ -201,6 +206,67 @@ TEST(KvConcurrencyTest, ConcurrentReadersSeePinnedEntry)
         }
     });
     EXPECT_TRUE(cache.contains(42));
+}
+
+TEST(KvConcurrencyTest, ReadRetriesCountHitsAndValidatedMisses)
+{
+    // One shard, one bucket: a writer inserting and erasing a key
+    // restructures the very chain the reader walks, so the reader's
+    // optimistic probes retry. Every probe tryProbe decides (hit or
+    // validated miss) must add its re-walks to readRetries; only a
+    // NeedSlow verdict hands them on to the locked probe().
+    KvConfig c;
+    c.capacity = 64;
+    c.numShards = 1;
+    c.numBuckets = 1;
+    c.scope = EvictionScope::Shard;
+    c.selector = SelectorMode::FixedLru;
+    c.keyHash = KeyHashKind::Identity;
+    c.lockFreeReads = true;
+    AdaptiveKvCache cache(c);
+    for (KvKey k = 2; k <= 32; k += 2)
+        cache.put(k, "present");
+    KvShard &shard = cache.shard(0);
+    const std::uint64_t before = shard.stats().readRetries;
+
+    std::atomic<bool> stop{false};
+    std::thread writer([&] {
+        while (!stop.load()) {
+            cache.put(1001, "churn");
+            cache.erase(1001);
+        }
+    });
+    std::uint64_t decided = 0, hit_retries = 0, miss_retries = 0;
+    std::uint64_t wrong_verdicts = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (std::uint64_t i = 0;
+         (i < 200'000 || hit_retries == 0 || miss_retries == 0) &&
+         std::chrono::steady_clock::now() < deadline;
+         ++i) {
+        // Odd keys are absent, even keys present.
+        const KvKey k = i % 32 + 1;
+        std::string value;
+        unsigned retries = 0;
+        auto verdict = KvShard::ProbeResult::NeedSlow;
+        {
+            EpochGuard guard;
+            if (guard.engaged())
+                verdict = shard.tryProbe(k, k, &value, &retries);
+        }
+        if (verdict == KvShard::ProbeResult::NeedSlow)
+            continue;
+        const bool miss = verdict == KvShard::ProbeResult::Miss;
+        wrong_verdicts += miss != (k % 2 == 1);
+        decided += retries;
+        (miss ? miss_retries : hit_retries) += retries;
+    }
+    stop.store(true);
+    writer.join();
+
+    EXPECT_EQ(wrong_verdicts, 0u);
+    EXPECT_EQ(shard.stats().readRetries - before, decided);
+    EXPECT_GT(miss_retries, 0u) << "no validated miss was retried";
 }
 
 } // namespace

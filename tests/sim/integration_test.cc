@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "sim/experiment.hh"
 
@@ -27,6 +28,17 @@ struct TrackingCase
     /** Tolerated overshoot of adaptive over min(LRU, LFU). */
     double envelope;
 };
+
+/**
+ * Without a printer gtest lists the case's raw bytes, and the bench
+ * pointer among them moves with every load address, so the listed test
+ * IDs would differ from run to run.
+ */
+void
+PrintTo(const TrackingCase &c, std::ostream *os)
+{
+    *os << '{' << c.bench << ", " << c.envelope << '}';
+}
 
 class AdaptiveTracking : public ::testing::TestWithParam<TrackingCase>
 {

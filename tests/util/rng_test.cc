@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -113,6 +116,126 @@ TEST(ZipfSampler, ZeroExponentIsUniform)
         ++counts[zipf(rng)];
     for (int c : counts)
         EXPECT_NEAR(c, n / 4, n / 40);
+}
+
+/** The reference bounded draw: a rejection loop over r % bound. */
+std::uint64_t
+referenceBelow(Rng &rng, std::uint64_t bound)
+{
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+        const std::uint64_t r = rng.next64();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+const std::uint64_t kBounds[] = {
+    1,
+    2,
+    3,
+    6,
+    12,
+    20,
+    28,
+    (std::uint64_t{1} << 32) - 1,
+    (std::uint64_t{1} << 32) + 1,
+    (std::uint64_t{1} << 63) + 1,
+    ~std::uint64_t{0},
+};
+
+TEST(RngBound, DrawsMatchReferenceRejectionLoop)
+{
+    constexpr int draws = 1'000'000;
+    for (std::uint64_t bound : kBounds) {
+        SCOPED_TRACE(bound);
+        const Rng::Bound fixed(bound);
+        Rng fast(bound ^ 99), dynamic(bound ^ 99), ref(bound ^ 99);
+        int mismatches = 0;
+        for (int i = 0; i < draws; ++i) {
+            const std::uint64_t want = referenceBelow(ref, bound);
+            mismatches += fast.below(fixed) != want;
+            mismatches += dynamic.below(bound) != want;
+        }
+        EXPECT_EQ(mismatches, 0);
+        // Same number of raw draws consumed, rejections included.
+        EXPECT_EQ(fast.next64(), ref.next64());
+    }
+}
+
+TEST(RngBound, RemainderMatchesModuloAtEdges)
+{
+    for (std::uint64_t bound : kBounds) {
+        SCOPED_TRACE(bound);
+        const Rng::Bound fixed(bound);
+        EXPECT_EQ(fixed.value(), bound);
+        const std::uint64_t top = ~std::uint64_t{0};
+        const std::uint64_t q = top / bound;
+        for (std::uint64_t r :
+             {std::uint64_t{0}, std::uint64_t{1}, bound - 1, bound,
+              bound + 1, 2 * bound - 1, 2 * bound, top, top - 1,
+              q * bound - 1, q * bound, top / 2, top / 2 + 1})
+            EXPECT_EQ(fixed.mod(r), r % bound) << "r=" << r;
+    }
+}
+
+/** The reference Zipf CDF, built as ZipfSampler documents it. */
+std::vector<double>
+referenceZipfCdf(std::uint64_t n, double s)
+{
+    std::vector<double> cdf(n);
+    double total = 0.0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        total += 1.0 / std::pow(double(i + 1), s);
+        cdf[i] = total;
+    }
+    for (auto &c : cdf)
+        c /= total;
+    return cdf;
+}
+
+TEST(ZipfSampler, GuidedRankMatchesFullBinarySearch)
+{
+    constexpr int draws = 1'000'000;
+    for (std::uint64_t n : {1, 2, 4095, 4096, 4097, 131072}) {
+        for (double s : {0.0, 0.5, 0.99, 1.2}) {
+            SCOPED_TRACE(testing::Message() << "n=" << n << " s=" << s);
+            const ZipfSampler zipf(n, s);
+            const std::vector<double> cdf = referenceZipfCdf(n, s);
+            const auto reference = [&](double u) {
+                return std::uint64_t(
+                    std::lower_bound(cdf.begin(), cdf.end(), u) -
+                    cdf.begin());
+            };
+            // Every cut point j / m of any guide of at most 4096 cut
+            // points, and its neighbours on either side.
+            std::vector<double> us;
+            for (int j = 0; j <= 4096; ++j) {
+                const double edge = double(j) / 4096.0;
+                for (double u : {std::nextafter(edge, -1.0), edge,
+                                 std::nextafter(edge, 2.0)})
+                    if (u >= 0.0 && u < 1.0)
+                        us.push_back(u);
+            }
+            int mismatches = 0;
+            for (double u : us)
+                mismatches += zipf.rank(u) != reference(u);
+            Rng rng(n * 31 + std::uint64_t(s * 100));
+            for (int i = 0; i < draws; ++i) {
+                const double u = rng.uniform();
+                mismatches += zipf.rank(u) != reference(u);
+            }
+            EXPECT_EQ(mismatches, 0);
+        }
+    }
+}
+
+TEST(ZipfSampler, DrawIsRankOfUniform)
+{
+    const ZipfSampler zipf(1000, 0.9);
+    Rng a(37), b(37);
+    for (int i = 0; i < 10000; ++i)
+        ASSERT_EQ(zipf(a), zipf.rank(b.uniform()));
 }
 
 } // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
+#include <vector>
 
 namespace adcache
 {
@@ -228,6 +231,188 @@ TEST(StridedSweep, TouchesNeighbours)
     EXPECT_EQ(k->next(rng), (std::uint64_t(1) << 20) - 64);
     EXPECT_EQ(k->next(rng), 0u);
     EXPECT_EQ(k->next(rng), 192u + 64);
+}
+
+// ---------------------------------------------------------------
+// The kernels replace per-reference divisions with running indices
+// and precomputed layouts. These references compute each address
+// with the plain division/modulo formulas, from the same seed.
+// ---------------------------------------------------------------
+
+constexpr std::uint64_t kLine = referenceLineSize;
+
+/** Seeded block permutation, drawn as the kernels draw it. */
+std::vector<std::uint64_t>
+referencePerm(std::uint64_t blocks, Rng &rng)
+{
+    std::vector<std::uint64_t> perm(blocks);
+    std::iota(perm.begin(), perm.end(), std::uint64_t{0});
+    for (std::uint64_t i = blocks - 1; i > 0; --i)
+        std::swap(perm[i], perm[rng.below(i + 1)]);
+    return perm;
+}
+
+TEST(SetColoredLoop, MatchesDivisionFormula)
+{
+    // A range running past the last set wraps to set 0.
+    const Addr base = 0x1000'0000;
+    const unsigned first = 1000, span = 50, depth = 7;
+    Rng rng(1);
+    auto k = makeKernel(
+        KernelSpec::setColoredLoop(base, first, span, depth), rng);
+    for (std::uint64_t i = 0; i < 10 * span * depth; ++i) {
+        const unsigned set = first + unsigned(i % span);
+        const std::uint64_t d = (i / span) % depth;
+        ASSERT_EQ(k->next(rng), base + d * referenceSetPeriod +
+                                    (set % referenceNumSets) * kLine)
+            << "ref " << i;
+    }
+}
+
+TEST(Zipf, MatchesDivisionFormula)
+{
+    struct Case
+    {
+        unsigned firstSet, spanSets;
+        std::uint64_t bytes, period, step;
+    };
+    // Full span; set-confined; and a drift step wider than the region.
+    for (const Case c : {Case{0, 1024, 1280 * 1024, 500, 64 * 1024},
+                         Case{512, 512, 1280 * 1024, 300, 64 * 1024},
+                         Case{100, 300, 64 * 1024, 50, 200 * 1024},
+                         Case{7, 1024, 16 * 1024, 0, 0}}) {
+        SCOPED_TRACE(c.spanSets);
+        const Addr base = 0x2000'0000;
+        auto spec = c.period ? KernelSpec::driftingZipf(base, c.bytes, 1.0,
+                                                        c.period, c.step)
+                             : KernelSpec::zipf(base, c.bytes, 1.2);
+        spec.firstSet = c.firstSet;
+        spec.spanSets = c.spanSets;
+        Rng rng(21), ref_rng(21);
+        auto k = makeKernel(spec, rng);
+
+        const std::uint64_t blocks = c.bytes / kLine;
+        const ZipfSampler zipf(blocks, spec.zipfS);
+        const auto perm = referencePerm(blocks, ref_rng);
+        const std::uint64_t drift =
+            std::max<std::uint64_t>(1, c.step / kLine);
+        std::uint64_t rotation = 0;
+        for (std::uint64_t i = 1; i <= 20'000; ++i) {
+            if (c.period != 0 && i % c.period == 0)
+                rotation = (rotation + drift) % blocks;
+            const std::uint64_t block =
+                perm[(zipf(ref_rng) + rotation) % blocks];
+            const Addr want =
+                c.spanSets >= referenceNumSets
+                    ? base + block * kLine
+                    : base + (c.firstSet + block % c.spanSets) * kLine +
+                          block / c.spanSets * referenceSetPeriod;
+            ASSERT_EQ(k->next(rng), want) << "ref " << i;
+        }
+    }
+}
+
+TEST(HotCold, MatchesDivisionFormula)
+{
+    struct Case
+    {
+        unsigned spanSets;
+        bool sequential;
+        std::uint64_t coldStride;
+    };
+    // Full and restricted spans, sequential and Zipf hot references,
+    // and a cold stride wider than a one-set chunk.
+    for (const Case c : {Case{1024, true, 8}, Case{448, true, 8},
+                         Case{300, false, 64}, Case{1, false, 200},
+                         Case{1024, false, 8}}) {
+        SCOPED_TRACE(c.spanSets);
+        const Addr base = 0x3000'0000;
+        const std::uint64_t hot_bytes = 700 * kLine;
+        const std::uint64_t cold_bytes = 50'000;
+        auto spec = KernelSpec::burstyHotCold(base, hot_bytes, cold_bytes,
+                                              37, 53, c.coldStride, 0.7);
+        spec.hotSequential = c.sequential;
+        spec.spanSets = c.spanSets;
+        Rng rng(31), ref_rng(31);
+        auto k = makeKernel(spec, rng);
+
+        const std::uint64_t span = c.spanSets;
+        const std::uint64_t blocks = hot_bytes / kLine;
+        const ZipfSampler zipf(blocks, 0.7);
+        const auto perm = referencePerm(blocks, ref_rng);
+        const auto layout = [&](std::uint64_t i) {
+            return i % span * kLine + i / span * referenceSetPeriod;
+        };
+        const Addr cold_base =
+            span < referenceNumSets
+                ? base + (blocks + span - 1) / span * referenceSetPeriod
+                : base + hot_bytes;
+        std::uint64_t hot_pos = 0, cold_pos = 0;
+        for (std::uint64_t i = 0; i < 30'000; ++i) {
+            Addr want;
+            if (i % 90 < 37) {
+                std::uint64_t block;
+                if (c.sequential) {
+                    block = hot_pos;
+                    hot_pos = (hot_pos + 1) % blocks;
+                } else {
+                    block = perm[zipf(ref_rng)];
+                }
+                want = base + layout(block);
+            } else {
+                const std::uint64_t chunk = span * kLine;
+                want = cold_base + cold_pos / chunk * referenceSetPeriod +
+                       cold_pos % chunk;
+                cold_pos += c.coldStride;
+                if (cold_pos >= cold_bytes)
+                    cold_pos = 0;
+            }
+            ASSERT_EQ(k->next(rng), want) << "ref " << i;
+        }
+    }
+}
+
+TEST(StridedSweep, MatchesModuloFormula)
+{
+    struct Case
+    {
+        std::uint64_t bytes, stride;
+        unsigned neighbours;
+    };
+    // Neighbour offsets wider than the region wrap more than once.
+    for (const Case c : {Case{8 << 20, 192, 2}, Case{1000, 24, 3},
+                         Case{64, 64, 5}, Case{200, 7, 9}}) {
+        SCOPED_TRACE(c.bytes);
+        Rng rng(41);
+        auto k = makeKernel(
+            KernelSpec::stridedSweep(0x100, c.bytes, c.stride,
+                                     c.neighbours),
+            rng);
+        const std::int64_t b = std::int64_t(c.bytes);
+        std::uint64_t pos = 0;
+        for (int i = 0; i < 20'000; ++i) {
+            for (unsigned n = 0; n < c.neighbours; ++n) {
+                const std::int64_t delta = (n % 2 == 0 ? 1 : -1) *
+                                           std::int64_t(kLine) *
+                                           (std::int64_t(n) / 2 + 1);
+                const std::int64_t off = std::int64_t(pos) + delta;
+                ASSERT_EQ(k->next(rng),
+                          0x100 + std::uint64_t((off % b + b) % b))
+                    << "element " << i << " neighbour " << n;
+            }
+            ASSERT_EQ(k->next(rng), 0x100 + pos) << "element " << i;
+            pos = (pos + c.stride) % c.bytes;
+        }
+    }
+}
+
+TEST(UniformRandom, MatchesBelow)
+{
+    Rng rng(51), ref_rng(51);
+    const std::uint64_t blocks = 12'345;
+    auto k = makeKernel(KernelSpec::uniformRandom(0, blocks * kLine), rng);
+    for (int i = 0; i < 20'000; ++i)
+        ASSERT_EQ(k->next(rng), ref_rng.below(blocks) * kLine);
 }
 
 } // namespace

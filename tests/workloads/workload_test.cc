@@ -178,5 +178,34 @@ TEST(Workload, DependenciesReferenceRecentDsts)
     }
 }
 
+TEST(Workload, ShrinkingDependenceWindowAcrossPhases)
+{
+    // A wide-window phase followed by a narrow one: after each switch
+    // the register ring must stay inside the narrow window, and every
+    // source must be one of that phase's last three destinations.
+    auto spec = simpleSpec(1000);
+    spec.phases[0].depWindow = 28;
+    PhaseSpec narrow = spec.phases[0];
+    narrow.depWindow = 3;
+    spec.phases.push_back(narrow);
+    WorkloadGenerator gen(spec);
+    TraceInstr instr;
+    std::vector<std::uint8_t> recent;
+    for (int i = 0; i < 20'000; ++i) {
+        if (i % 1000 == 0)
+            recent.clear();  // a phase starts with an empty ring
+        ASSERT_TRUE(gen.next(instr));
+        if ((i / 1000) % 2 == 1 && instr.src1 != noReg) {
+            const auto begin =
+                recent.end() - std::min<std::ptrdiff_t>(3, recent.size());
+            ASSERT_TRUE(std::find(begin, recent.end(), instr.src1) !=
+                        recent.end())
+                << "instruction " << i;
+        }
+        if (instr.dst != noReg)
+            recent.push_back(instr.dst);
+    }
+}
+
 } // namespace
 } // namespace adcache
