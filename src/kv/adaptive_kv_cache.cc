@@ -400,179 +400,61 @@ AdaptiveKvCache::registerStats(StatRegistry &reg,
                                const std::string &prefix,
                                bool per_shard) const
 {
-    KvShardStats total;
-    std::uint64_t shadow_misses[kvNumComponents] = {0, 0};
-    std::uint64_t flips = 0, size = 0, pinned = 0;
-    for (unsigned s = 0; s < shards_.size(); ++s) {
-        std::scoped_lock lock(locks_[s]);
-        total.add(shards_[s]->stats());
-        for (unsigned k = 0; k < kvNumComponents; ++k)
-            shadow_misses[k] += shards_[s]->shadowMisses(k);
-        flips += shards_[s]->selectionFlips();
-        size += shards_[s]->size();
-        pinned += shards_[s]->pinnedCount();
-        if (per_shard) {
-            char sub[16];
-            std::snprintf(sub, sizeof sub, "shard%02u.", s);
-            shards_[s]->registerStats(reg, prefix + sub);
-        }
-    }
-    reg.counter(prefix + "references", total.references);
-    reg.counter(prefix + "hits", total.hits);
-    reg.counter(prefix + "misses", total.misses);
-    reg.counter(prefix + "gets", total.gets);
-    reg.counter(prefix + "get_hits", total.getHits);
-    reg.counter(prefix + "inserts", total.inserts);
-    reg.counter(prefix + "updates", total.updates);
-    reg.counter(prefix + "evictions", total.evictions);
-    reg.counter(prefix + "directed_evictions",
-                total.directedEvictions);
-    reg.counter(prefix + "fallback_evictions",
-                total.fallbackEvictions);
-    reg.counter(prefix + "rejected_puts", total.rejected);
-    reg.counter(prefix + "erases", total.erases);
-    reg.counter(prefix + "expirations", total.expirations);
-    reg.counter(prefix + "read_retries", total.readRetries);
-    reg.counter(prefix + "slow_probes", total.slowProbes);
-    reg.counter(prefix + "diff_misses", total.diffMisses);
-    for (unsigned k = 0; k < kvNumComponents; ++k) {
-        const std::string name =
-            kvComponentName(config_.components[k]);
-        reg.counter(prefix + "decisions." + name,
-                    total.decisions[k]);
-        reg.counter(prefix + "shadow." + name + ".misses",
-                    shadow_misses[k]);
-    }
-    reg.counter(prefix + "selection_flips", flips);
-    if (config_.anyAdmission())
-        reg.counter(prefix + "admit_rejects", total.admitRejects);
-    reg.counter(prefix + "size", size);
-    reg.counter(prefix + "pinned", pinned);
-    reg.counter(prefix + "capacity", capacity());
-    reg.value(prefix + "hit_rate", total.hitRate());
+    std::vector<std::string> names;
+    for (const KvComponentSpec &c : config_.components)
+        names.push_back(kvComponentName(c));
+    const std::vector<KvShardStats> shards = shardTelemetry();
+    obs::forEachCounter<KvShardStats>(
+        kvCounterTable(), total(shards),
+        per_shard ? shards : std::vector<KvShardStats>{}, kvNumComponents,
+        [&](const obs::CounterSample &c) {
+            if (!c.row.v1IfAdmission || config_.anyAdmission())
+                obs::registerSample(reg, prefix, c, names);
+        });
 }
 
-std::vector<KvShardTelemetry>
+std::vector<KvShardStats>
 AdaptiveKvCache::shardTelemetry() const
 {
-    std::vector<KvShardTelemetry> out(shards_.size());
+    std::vector<KvShardStats> out;
+    out.reserve(shards_.size());
     for (unsigned s = 0; s < shards_.size(); ++s) {
         std::scoped_lock lock(locks_[s]);
-        const KvShardStats snap = shards_[s]->stats();
-        KvShardTelemetry &t = out[s];
-        t.references = snap.references;
-        t.hits = snap.hits;
-        t.misses = snap.misses;
-        t.gets = snap.gets;
-        t.getHits = snap.getHits;
-        t.evictions = snap.evictions;
-        t.admitRejects = snap.admitRejects;
-        t.expirations = snap.expirations;
-        t.readRetries = snap.readRetries;
-        t.slowProbes = snap.slowProbes;
-        t.selectionFlips = shards_[s]->selectionFlips();
-        t.diffMisses = snap.diffMisses;
-        t.size = shards_[s]->size();
-        t.pinned = shards_[s]->pinnedCount();
-        t.winner = shards_[s]->currentWinner();
+        out.push_back(shards_[s]->stats());
     }
     return out;
+}
+
+KvShardStats
+AdaptiveKvCache::total(const std::vector<KvShardStats> &shards) const
+{
+    KvShardStats t;
+    for (const KvShardStats &s : shards)
+        t.add(s);
+    t.shardCount = shards.size();
+    t.capacity = capacity();
+    t.clockNow = clockNow();
+    return t;
 }
 
 void
 AdaptiveKvCache::registerMetrics(obs::MetricsRegistry &reg) const
 {
-    reg.addCollector(
-        [this](obs::MetricsSink &sink) { collectMetrics(sink); });
-}
-
-void
-AdaptiveKvCache::collectMetrics(obs::MetricsSink &sink) const
-{
-    const std::vector<KvShardTelemetry> shards = shardTelemetry();
-
-    KvShardTelemetry total;
-    for (const KvShardTelemetry &t : shards) {
-        total.references += t.references;
-        total.hits += t.hits;
-        total.misses += t.misses;
-        total.gets += t.gets;
-        total.getHits += t.getHits;
-        total.evictions += t.evictions;
-        total.admitRejects += t.admitRejects;
-        total.expirations += t.expirations;
-        total.readRetries += t.readRetries;
-        total.slowProbes += t.slowProbes;
-        total.selectionFlips += t.selectionFlips;
-        total.diffMisses += t.diffMisses;
-        total.size += t.size;
-        total.pinned += t.pinned;
-    }
-
-    auto c = [&](const char *name, double v, const char *help) {
-        sink.counter(name, {}, v, help);
-    };
-    c("adcache_kv_references_total", double(total.references),
-      "Filling references (fetch/put)");
-    c("adcache_kv_hits_total", double(total.hits),
-      "Filling-reference hits");
-    c("adcache_kv_misses_total", double(total.misses),
-      "Filling-reference misses");
-    c("adcache_kv_gets_total", double(total.gets),
-      "Non-filling probes");
-    c("adcache_kv_get_hits_total", double(total.getHits),
-      "Non-filling probe hits");
-    c("adcache_kv_evictions_total", double(total.evictions),
-      "Entries evicted");
-    c("adcache_kv_admit_rejects_total", double(total.admitRejects),
-      "Candidates the admission filter refused");
-    c("adcache_kv_expirations_total", double(total.expirations),
-      "Lazy TTL removals");
-    c("adcache_kv_read_retries_total", double(total.readRetries),
-      "Optimistic reads that re-walked a bucket");
-    c("adcache_kv_slow_probes_total", double(total.slowProbes),
-      "Reads that fell back to the shard mutex");
-    c("adcache_kv_selection_flips_total",
-      double(total.selectionFlips), "Winner changes, all shards");
-    c("adcache_kv_diff_misses_total", double(total.diffMisses),
-      "Leader references where the components disagreed");
-    sink.gauge("adcache_kv_size", {}, double(total.size),
-               "Resident entries");
-    sink.gauge("adcache_kv_pinned", {}, double(total.pinned),
-               "Pinned entries");
-    sink.gauge("adcache_kv_capacity", {}, double(capacity()),
-               "Configured capacity in entries");
-    sink.gauge("adcache_kv_hit_rate", {}, total.hitRate(),
-               "Combined hit rate since start");
-
-    for (unsigned s = 0; s < shards.size(); ++s) {
-        const KvShardTelemetry &t = shards[s];
-        const obs::MetricLabels labels = {
-            {"shard", std::to_string(s)}};
-        auto sc = [&](const char *name, double v) {
-            sink.counter(name, labels, v, "");
-        };
-        sc("adcache_kv_shard_hits_total", double(t.hits + t.getHits));
-        sc("adcache_kv_shard_misses_total",
-           double(t.misses + (t.gets - t.getHits)));
-        sc("adcache_kv_shard_evictions_total", double(t.evictions));
-        sc("adcache_kv_shard_selection_flips_total",
-           double(t.selectionFlips));
-        sc("adcache_kv_shard_diff_misses_total",
-           double(t.diffMisses));
-        sink.gauge("adcache_kv_shard_winner", labels,
-                   double(t.winner),
-                   "Component ordinal of the shard's winner");
-        sink.gauge("adcache_kv_shard_hit_rate", labels, t.hitRate(),
-                   "");
-    }
-    // Winner ordinal → policy name decoder ring, info-style.
-    for (unsigned k = 0; k < kvNumComponents; ++k)
-        sink.gauge("adcache_kv_component_info",
-                   {{"ordinal", std::to_string(k)},
-                    {"policy",
-                     kvComponentName(config_.components[k])}},
-                   1.0, "Winner-ordinal to policy-name mapping");
+    reg.addCollector([this](obs::MetricsSink &sink) {
+        const std::vector<KvShardStats> shards = shardTelemetry();
+        obs::forEachCounter<KvShardStats>(
+            kvCounterTable(), total(shards), shards, kvNumComponents,
+            [&](const obs::CounterSample &c) {
+                obs::collectSample(sink, c);
+            });
+        const obs::CounterFamily &info = obs::kKvComponentInfo;
+        for (unsigned k = 0; k < kvNumComponents; ++k)
+            sink.gauge(info.name,
+                       {{"ordinal", std::to_string(k)},
+                        {"policy",
+                         kvComponentName(config_.components[k])}},
+                       1.0, info.help);
+    });
 }
 
 std::string

@@ -39,48 +39,10 @@
 namespace adcache::obs
 {
 class MetricsRegistry;
-class MetricsSink;
 } // namespace adcache::obs
 
 namespace adcache::kv
 {
-
-/**
- * One shard's live telemetry, snapshotted under its lock: the
- * adaptation signals the drift monitor consumes (flips, diffMisses,
- * ops) plus the identity/health fields Stats v2 and /metrics
- * report per shard.
- */
-struct KvShardTelemetry
-{
-    std::uint64_t references = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t gets = 0;
-    std::uint64_t getHits = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t admitRejects = 0;
-    std::uint64_t expirations = 0;
-    std::uint64_t readRetries = 0;
-    std::uint64_t slowProbes = 0;
-    std::uint64_t selectionFlips = 0;
-    std::uint64_t diffMisses = 0;
-    std::uint64_t size = 0;
-    std::uint64_t pinned = 0;
-    unsigned winner = 0; //!< component ordinal of domain 0's winner
-
-    /** Filling references + non-filling probes: the op count drift
-     *  rates are normalized by. */
-    std::uint64_t ops() const { return references + gets; }
-
-    double hitRate() const
-    {
-        const std::uint64_t total = ops();
-        return total == 0
-                   ? 0.0
-                   : double(hits + getHits) / double(total);
-    }
-};
 
 /** Concurrent sharded adaptive key-value cache. */
 class AdaptiveKvCache
@@ -170,26 +132,30 @@ class AdaptiveKvCache
 
     /**
      * Aggregate (and, with @p per_shard, per-shard "shardNN."-
-     * prefixed) statistics under @p prefix.
+     * prefixed) statistics under @p prefix: the v1 rows of
+     * ADCACHE_KV_COUNTERS.
      */
     void registerStats(StatRegistry &reg, const std::string &prefix,
                        bool per_shard = false) const;
 
-    /** Per-shard telemetry snapshot (each shard sampled under its
+    /** Per-shard counter snapshots (each shard sampled under its
      *  own lock; shards are not mutually synchronized, which is fine
      *  for rate monitoring). */
-    std::vector<KvShardTelemetry> shardTelemetry() const;
+    std::vector<KvShardStats> shardTelemetry() const;
+
+    /** The cache-wide snapshot: @p shards summed, plus the
+     *  cache-global rows (shard count, capacity, clock). */
+    KvShardStats total(const std::vector<KvShardStats> &shards) const;
 
     /**
      * Register this cache as a scrape-time collector in @p reg: the
-     * kv hot path stays untouched — counters are sampled under the
-     * shard locks only when a scrape happens. The cache must outlive
-     * the registry (or the registry must stop scraping first).
+     * Prometheus rows of ADCACHE_KV_COUNTERS plus the component
+     * decoder ring. The kv hot path stays untouched — counters are
+     * sampled under the shard locks only when a scrape happens. The
+     * cache must outlive the registry (or the registry must stop
+     * scraping first).
      */
     void registerMetrics(obs::MetricsRegistry &reg) const;
-
-    /** The collector body (exposed for direct use in tests). */
-    void collectMetrics(obs::MetricsSink &sink) const;
 
     /** Direct, UNSYNCHRONIZED shard access (tests and oracles). */
     KvShard &shard(unsigned i) { return *shards_[i]; }

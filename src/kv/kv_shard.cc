@@ -4,7 +4,6 @@
 
 #include "core/shadow_cache.hh"
 #include "obs/trace.hh"
-#include "util/stat_registry.hh"
 
 namespace adcache::kv
 {
@@ -12,33 +11,39 @@ namespace adcache::kv
 void
 KvShardStats::add(const KvShardStats &o)
 {
-    references += o.references;
-    hits += o.hits;
-    misses += o.misses;
-    gets += o.gets;
-    getHits += o.getHits;
-    inserts += o.inserts;
-    updates += o.updates;
-    evictions += o.evictions;
-    directedEvictions += o.directedEvictions;
-    fallbackEvictions += o.fallbackEvictions;
-    rejected += o.rejected;
-    admitRejects += o.admitRejects;
-    erases += o.erases;
-    expirations += o.expirations;
-    readRetries += o.readRetries;
-    slowProbes += o.slowProbes;
-    diffMisses += o.diffMisses;
-    for (unsigned k = 0; k < kvNumComponents; ++k)
-        decisions[k] += o.decisions[k];
+#define ADCACHE_KV_SUM_FIELD(f) f += o.f;
+#define ADCACHE_KV_SUM_COMPONENTS(f)                                      \
+    for (unsigned k = 0; k < kvNumComponents; ++k)                        \
+        f[k] += o.f[k];
+#define ADCACHE_KV_SUM_FORMULA(e)
+#define ADCACHE_KV_SUM_RATIO(e)
+#define ADCACHE_KV_SUM(value, ...) ADCACHE_KV_SUM_##value
+    ADCACHE_KV_COUNTERS(ADCACHE_KV_SUM)
 }
 
 double
 KvShardStats::hitRate() const
 {
-    const std::uint64_t total = references + gets;
+    const std::uint64_t total = ops();
     return total == 0 ? 0.0
                       : double(hits + getHits) / double(total);
+}
+
+obs::CounterTable<KvShardStats>
+kvCounterTable()
+{
+    using Value = obs::CounterValue<KvShardStats>;
+#define ADCACHE_VALUE_FIELD(f)                                            \
+    Value{[](const KvShardStats &s, unsigned) { return s.f; }}
+#define ADCACHE_VALUE_COMPONENTS(f)                                       \
+    Value{[](const KvShardStats &s, unsigned k) { return s.f[k]; }}
+#define ADCACHE_VALUE_FORMULA(e)                                          \
+    Value{[](const KvShardStats &s, unsigned) -> std::uint64_t { return e; }}
+#define ADCACHE_VALUE_RATIO(e)                                            \
+    Value{nullptr, [](const KvShardStats &s) { return e; }}
+    static constexpr Value values[] = {
+        ADCACHE_KV_COUNTERS(ADCACHE_COUNTER_VALUE)};
+    return {obs::kKvCounterRows, values};
 }
 
 KvShardConfig
@@ -1091,50 +1096,22 @@ KvShardStats
 KvShard::stats() const
 {
     KvShardStats s = stats_;
-    s.gets = gets_.load(std::memory_order_seq_cst);
+    // Lock-free hits bump gets_ before getHits_, so read getHits_
+    // first; the clamp covers what relaxed ordering still lets a
+    // reader see out of order. getHits <= gets is what every
+    // exporter's Misses row (gets - getHits) relies on.
     s.getHits = getHits_.load(std::memory_order_seq_cst);
+    s.gets = gets_.load(std::memory_order_seq_cst);
+    s.getHits = std::min(s.getHits, s.gets);
     s.readRetries = readRetries_.load(std::memory_order_seq_cst);
     s.slowProbes = slowProbes_.load(std::memory_order_seq_cst);
+    for (unsigned k = 0; k < kvNumComponents; ++k)
+        s.shadowMisses[k] = shadowMisses(k);
+    s.selectionFlips = selectionFlips();
+    s.size = size_;
+    s.pinned = pinnedCount();
+    s.winner = currentWinner();
     return s;
-}
-
-void
-KvShard::registerStats(StatRegistry &reg,
-                       const std::string &prefix) const
-{
-    const KvShardStats snap = stats();
-    reg.counter(prefix + "references", snap.references);
-    reg.counter(prefix + "hits", snap.hits);
-    reg.counter(prefix + "misses", snap.misses);
-    reg.counter(prefix + "gets", snap.gets);
-    reg.counter(prefix + "get_hits", snap.getHits);
-    reg.counter(prefix + "inserts", snap.inserts);
-    reg.counter(prefix + "updates", snap.updates);
-    reg.counter(prefix + "evictions", snap.evictions);
-    reg.counter(prefix + "directed_evictions",
-                snap.directedEvictions);
-    reg.counter(prefix + "fallback_evictions",
-                snap.fallbackEvictions);
-    reg.counter(prefix + "rejected_puts", snap.rejected);
-    reg.counter(prefix + "erases", snap.erases);
-    reg.counter(prefix + "expirations", snap.expirations);
-    reg.counter(prefix + "read_retries", snap.readRetries);
-    reg.counter(prefix + "slow_probes", snap.slowProbes);
-    reg.counter(prefix + "diff_misses", snap.diffMisses);
-    for (unsigned k = 0; k < kvNumComponents; ++k) {
-        const std::string name =
-            kvComponentName(config_.components[k]);
-        reg.counter(prefix + "decisions." + name,
-                    snap.decisions[k]);
-        reg.counter(prefix + "shadow." + name + ".misses",
-                    shadowMisses(k));
-    }
-    reg.counter(prefix + "selection_flips", selectionFlips());
-    if (admission_)
-        reg.counter(prefix + "admit_rejects", snap.admitRejects);
-    reg.counter(prefix + "size", size_);
-    reg.counter(prefix + "pinned", pinnedCount());
-    reg.value(prefix + "hit_rate", snap.hitRate());
 }
 
 } // namespace adcache::kv

@@ -54,45 +54,43 @@
 #include "kv/policy_lists.hh"
 #include "kv/read_path.hh"
 #include "kv/shadow_dir.hh"
+#include "obs/counter_table.hh"
 #include "obs/event.hh"
 #include "util/rng.hh"
-
-namespace adcache
-{
-class StatRegistry;
-}
 
 namespace adcache::kv
 {
 
-/** Per-shard event counters. */
+/**
+ * Counter snapshot of one shard, or of a whole cache: a member per
+ * FIELD/COMPONENTS row of ADCACHE_KV_COUNTERS (obs/counter_table.hh).
+ * A shard keeps its mutex-owned counters in one; stats() fills in the
+ * rest. The Global rows are set on the cache-wide sum only.
+ */
 struct KvShardStats
 {
-    std::uint64_t references = 0; //!< filling references (fetch/put)
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t gets = 0; //!< non-filling probes
-    std::uint64_t getHits = 0;
-    std::uint64_t inserts = 0;
-    std::uint64_t updates = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t directedEvictions = 0;
-    std::uint64_t fallbackEvictions = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t admitRejects = 0; //!< TinyLFU refused the candidate
-    std::uint64_t erases = 0;
-    std::uint64_t expirations = 0; //!< lazy TTL removals
-    std::uint64_t readRetries = 0; //!< optimistic probe re-walks
-    std::uint64_t slowProbes = 0;  //!< gets that took the mutex
-    std::uint64_t diffMisses = 0;  //!< leader refs where components
-                                   //!< disagreed (drift signal)
-    std::uint64_t decisions[kvNumComponents] = {0, 0};
+#define ADCACHE_KV_MEMBER_FIELD(f) std::uint64_t f = 0;
+#define ADCACHE_KV_MEMBER_COMPONENTS(f) std::uint64_t f[kvNumComponents] = {};
+#define ADCACHE_KV_MEMBER_FORMULA(e)
+#define ADCACHE_KV_MEMBER_RATIO(e)
+#define ADCACHE_KV_MEMBER(value, ...) ADCACHE_KV_MEMBER_##value
+    ADCACHE_KV_COUNTERS(ADCACHE_KV_MEMBER)
 
+    /** Add @p o's counters to these, member by member. */
     void add(const KvShardStats &o);
+
+    /** Filling references + non-filling probes. */
+    std::uint64_t ops() const { return references + gets; }
 
     /** Combined hit rate over filling references and probes. */
     double hitRate() const;
 };
+
+/** The name shardTelemetry() callers know the snapshot by. */
+using KvShardTelemetry = KvShardStats;
+
+/** The KV rows, read from a snapshot. */
+obs::CounterTable<KvShardStats> kvCounterTable();
 
 /** Resolved per-shard configuration. */
 struct KvShardConfig
@@ -239,11 +237,10 @@ class KvShard
         return pinned_.load(std::memory_order_seq_cst);
     }
 
-    /** Counter snapshot: the mutex-owned counters plus the atomics
-     *  the lock-free read path maintains, folded together. */
+    /** Counter snapshot: the mutex-owned counters, the atomics the
+     *  lock-free read path maintains, and the shard's adaptation
+     *  state. Requires the shard mutex (or quiescence). */
     KvShardStats stats() const;
-    void registerStats(StatRegistry &reg,
-                       const std::string &prefix) const;
 
     /** True iff @p bucket carries shadow directories. */
     bool isLeader(unsigned bucket) const;

@@ -49,18 +49,6 @@ KvServer::bytesSent() const
 }
 
 std::uint64_t
-KvServer::framesReceived() const
-{
-    return counters_->framesIn.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-KvServer::backpressureParks() const
-{
-    return counters_->parks.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
 KvServer::outBufHighWater() const
 {
     return counters_->outHighWater.load(std::memory_order_relaxed);
@@ -71,22 +59,10 @@ KvServer::installStatsProvider()
 {
     service_.addStatsProvider(
         [c = counters_](std::vector<StatSample> &samples) {
-            const auto g = kStatsGlobalShard;
-            const auto rd = [](const std::atomic<std::uint64_t> &a) {
-                return a.load(std::memory_order_relaxed);
-            };
-            samples.push_back(
-                {StatTag::Connections, g, rd(c->accepted)});
-            samples.push_back(
-                {StatTag::FramesIn, g, rd(c->framesIn)});
-            samples.push_back(
-                {StatTag::BytesIn, g, rd(c->bytesIn)});
-            samples.push_back(
-                {StatTag::BytesOut, g, rd(c->bytesOut)});
-            samples.push_back(
-                {StatTag::BackpressureParks, g, rd(c->parks)});
-            samples.push_back(
-                {StatTag::OutBufHighWater, g, rd(c->outHighWater)});
+            obs::forEachCounter(transportCounterTable(), *c, {}, 0,
+                                [&](const obs::CounterSample &s) {
+                                    appendSample(samples, s);
+                                });
         });
 }
 
@@ -94,28 +70,24 @@ void
 KvServer::registerMetrics(obs::MetricsRegistry &reg)
 {
     reg.addCollector([c = counters_](obs::MetricsSink &sink) {
-        const auto rd = [](const std::atomic<std::uint64_t> &a) {
-            return a.load(std::memory_order_relaxed);
-        };
-        sink.counter("adcache_srv_connections_total", {},
-                     double(rd(c->accepted)),
-                     "Connections accepted");
-        sink.counter("adcache_srv_frames_in_total", {},
-                     double(rd(c->framesIn)),
-                     "Request frames decoded off sockets");
-        sink.counter("adcache_srv_bytes_in_total", {},
-                     double(rd(c->bytesIn)),
-                     "Bytes read off sockets");
-        sink.counter("adcache_srv_bytes_out_total", {},
-                     double(rd(c->bytesOut)),
-                     "Bytes written to sockets");
-        sink.counter("adcache_srv_backpressure_parks_total", {},
-                     double(rd(c->parks)),
-                     "Response flushes parked on a full socket");
-        sink.gauge("adcache_srv_outbuf_high_water_bytes", {},
-                   double(rd(c->outHighWater)),
-                   "Largest pending output buffer seen");
+        obs::forEachCounter(transportCounterTable(), *c, {}, 0,
+                            [&](const obs::CounterSample &s) {
+                                obs::collectSample(sink, s);
+                            });
     });
+}
+
+obs::CounterTable<KvServer::Counters>
+KvServer::transportCounterTable()
+{
+    using Value = obs::CounterValue<Counters>;
+#define ADCACHE_VALUE_FIELD(f)                                            \
+    Value{[](const Counters &c, unsigned) {                               \
+        return c.f.load(std::memory_order_relaxed);                       \
+    }}
+    static constexpr Value values[] = {
+        ADCACHE_TRANSPORT_COUNTERS(ADCACHE_COUNTER_VALUE)};
+    return {obs::kTransportCounterRows, values};
 }
 
 KvServer::~KvServer()

@@ -90,17 +90,16 @@ class KvServer
     }
 
     /** Transport counters, summed over all workers (monotonic for
-     *  the server's lifetime; high-water is a running max). */
+     *  the server's lifetime; high-water is a running max). The rest
+     *  are read through Stats v2 and registerMetrics(). */
     std::uint64_t bytesReceived() const;
     std::uint64_t bytesSent() const;
-    std::uint64_t framesReceived() const;
-    std::uint64_t backpressureParks() const;
     std::uint64_t outBufHighWater() const;
 
     /**
      * Register the transport counters as a Stats-v2 provider on the
      * hosted service, so one Stats opcode answers for the whole
-     * process (tags Connections..OutBufHighWater). Call once per
+     * process (the ADCACHE_TRANSPORT_COUNTERS tags). Call once per
      * server; the provider shares ownership of the counters and
      * keeps answering (frozen) if the server is destroyed first.
      */
@@ -156,10 +155,11 @@ class KvServer
     };
 
     /**
-     * Transport counters, heap-shared so the Stats-v2 provider and
-     * metrics collector installed on the (longer-lived) service
-     * never dangle. Workers update with relaxed RMWs off the
-     * per-event paths — never per byte.
+     * Transport counters (the sources of ADCACHE_TRANSPORT_COUNTERS),
+     * heap-shared so the Stats-v2 provider and metrics collector
+     * installed on the (longer-lived) service never dangle. Workers
+     * update with relaxed RMWs off the per-event paths — never per
+     * byte.
      */
     struct Counters
     {
@@ -192,6 +192,9 @@ class KvServer
         std::mutex mtx;
         std::vector<int> inbox; //!< fds handed over by the acceptor
     };
+
+    /** The transport rows, read from the counters. */
+    static obs::CounterTable<Counters> transportCounterTable();
 
     void acceptLoop();
     void workerLoop(Worker &w);

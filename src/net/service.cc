@@ -13,6 +13,23 @@
 namespace adcache::net
 {
 
+namespace
+{
+
+/** The service rows, read from a KvService. */
+obs::CounterTable<KvService>
+serviceCounterTable()
+{
+    using Value = obs::CounterValue<KvService>;
+#define ADCACHE_VALUE_FORMULA(e)                                          \
+    Value{[](const KvService &s, unsigned) -> std::uint64_t { return e; }}
+    static constexpr Value values[] = {
+        ADCACHE_SERVICE_COUNTERS(ADCACHE_COUNTER_VALUE)};
+    return {obs::kServiceCounterRows, values};
+}
+
+} // namespace
+
 KvService::KvService(const KvServiceConfig &config)
     : config_(config), cache_(config.cache)
 {
@@ -257,13 +274,10 @@ KvService::statsText() const
 {
     StatRegistry reg;
     cache_.registerStats(reg, "kv.", /*per_shard=*/true);
-    reg.counter("net.requests", requestsServed());
-    reg.counter("net.errors", errorsAnswered());
-    for (const MsgKind kind :
-         {MsgKind::Get, MsgKind::Put, MsgKind::Del, MsgKind::Ping,
-          MsgKind::Stats, MsgKind::MGet})
-        reg.counter(std::string("net.op.") + msgKindName(kind),
-                    opCount(kind));
+    obs::forEachCounter(serviceCounterTable(), *this, {}, 0,
+                        [&](const obs::CounterSample &c) {
+                            obs::registerSample(reg, "", c);
+                        });
 
     std::ostringstream out;
     // Run metadata first: a captured stats dump should identify the
@@ -292,99 +306,24 @@ KvService::statsText() const
 std::string
 KvService::statsV2() const
 {
-    const std::vector<kv::KvShardTelemetry> shards =
-        cache_.shardTelemetry();
-
-    kv::KvShardTelemetry total;
-    for (const kv::KvShardTelemetry &t : shards) {
-        total.references += t.references;
-        total.hits += t.hits;
-        total.misses += t.misses;
-        total.gets += t.gets;
-        total.getHits += t.getHits;
-        total.evictions += t.evictions;
-        total.admitRejects += t.admitRejects;
-        total.expirations += t.expirations;
-        total.readRetries += t.readRetries;
-        total.slowProbes += t.slowProbes;
-        total.selectionFlips += t.selectionFlips;
-        total.diffMisses += t.diffMisses;
-        total.size += t.size;
-        total.pinned += t.pinned;
-    }
-
+    const std::vector<kv::KvShardStats> shards = cache_.shardTelemetry();
+    const std::vector<std::uint64_t> rings = obs::perRingDrops();
     std::vector<StatSample> samples;
-    samples.reserve(16 + shards.size() * 16);
-    auto g = [&](StatTag tag, std::uint64_t v) {
-        samples.push_back({tag, kStatsGlobalShard, v});
+    samples.reserve(64 + shards.size() * 16);
+    const auto append = [&](const obs::CounterSample &c) {
+        appendSample(samples, c);
     };
-
-    g(StatTag::ShardCount, shards.size());
-    g(StatTag::Capacity, cache_.capacity());
-    g(StatTag::Size, total.size);
-    g(StatTag::Pinned, total.pinned);
-    g(StatTag::ClockNow, cache_.clockNow());
-    g(StatTag::References, total.references);
-    g(StatTag::Hits, total.hits + total.getHits);
-    g(StatTag::Misses,
-      total.misses + (total.gets - total.getHits));
-    g(StatTag::Gets, total.gets);
-    g(StatTag::GetHits, total.getHits);
-    g(StatTag::Evictions, total.evictions);
-    g(StatTag::AdmitRejects, total.admitRejects);
-    g(StatTag::Expirations, total.expirations);
-    g(StatTag::ReadRetries, total.readRetries);
-    g(StatTag::SlowProbes, total.slowProbes);
-    g(StatTag::SelectionFlips, total.selectionFlips);
-    g(StatTag::DiffMisses, total.diffMisses);
-    g(StatTag::HitRatePpm,
-      std::uint64_t(total.hitRate() * 1e6));
-
-    g(StatTag::Requests, requestsServed());
-    g(StatTag::Errors, errorsAnswered());
-    g(StatTag::OpGet, opCount(MsgKind::Get));
-    g(StatTag::OpPut, opCount(MsgKind::Put));
-    g(StatTag::OpDel, opCount(MsgKind::Del));
-    g(StatTag::OpPing, opCount(MsgKind::Ping));
-    g(StatTag::OpStats, opCount(MsgKind::Stats));
-    g(StatTag::OpMGet, opCount(MsgKind::MGet));
-    g(StatTag::RequestP50Ns, requestPercentileNs(0.50));
-    g(StatTag::RequestP99Ns, requestPercentileNs(0.99));
-
-    g(StatTag::TraceCompiled, obs::kTraceCompiled ? 1 : 0);
-    g(StatTag::TraceEnabled, obs::traceEnabled() ? 1 : 0);
-    g(StatTag::TraceDrops, obs::droppedTotal());
-    const std::vector<std::uint64_t> ringDrops =
-        obs::perRingDrops();
-    for (std::size_t i = 0;
-         i < ringDrops.size() && i < kStatsGlobalShard; ++i)
-        if (ringDrops[i] != 0)
-            samples.push_back({StatTag::TraceDrops,
-                               std::uint16_t(i), ringDrops[i]});
-
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        const kv::KvShardTelemetry &t = shards[s];
-        auto ps = [&](StatTag tag, std::uint64_t v) {
-            samples.push_back({tag, std::uint16_t(s), v});
-        };
-        ps(StatTag::References, t.references);
-        ps(StatTag::Hits, t.hits + t.getHits);
-        ps(StatTag::Misses, t.misses + (t.gets - t.getHits));
-        ps(StatTag::Gets, t.gets);
-        ps(StatTag::GetHits, t.getHits);
-        ps(StatTag::Evictions, t.evictions);
-        ps(StatTag::AdmitRejects, t.admitRejects);
-        ps(StatTag::Expirations, t.expirations);
-        ps(StatTag::ReadRetries, t.readRetries);
-        ps(StatTag::SlowProbes, t.slowProbes);
-        ps(StatTag::SelectionFlips, t.selectionFlips);
-        ps(StatTag::DiffMisses, t.diffMisses);
-        ps(StatTag::Winner, t.winner);
-        ps(StatTag::Size, t.size);
-        ps(StatTag::Pinned, t.pinned);
-        ps(StatTag::HitRatePpm, std::uint64_t(t.hitRate() * 1e6));
-    }
-
+    obs::forEachCounter<kv::KvShardStats>(kv::kvCounterTable(),
+                                          cache_.total(shards), shards,
+                                          kv::kvNumComponents, append);
+    obs::forEachCounter(serviceCounterTable(), *this, {}, 0, append);
+    // Rings are many and mostly idle: only nonzero ring rows ship.
+    obs::forEachCounter<std::uint64_t>(
+        obs::traceCounterTable(), obs::droppedTotal(), rings, 0,
+        [&](const obs::CounterSample &c) {
+            if (c.shard < 0 || c.count != 0)
+                append(c);
+        });
     {
         std::lock_guard<std::mutex> lock(providersMtx_);
         for (const StatsProvider &p : providers_)
@@ -405,25 +344,10 @@ KvService::registerMetrics(obs::MetricsRegistry &reg)
 {
     cache_.registerMetrics(reg);
     reg.addCollector([this](obs::MetricsSink &sink) {
-        sink.counter("adcache_net_requests_total", {},
-                     double(requestsServed()),
-                     "Requests served (any status)");
-        sink.counter("adcache_net_errors_total", {},
-                     double(errorsAnswered()),
-                     "Requests answered with Error");
-        for (const MsgKind kind :
-             {MsgKind::Get, MsgKind::Put, MsgKind::Del,
-              MsgKind::Ping, MsgKind::Stats, MsgKind::MGet})
-            sink.counter("adcache_net_op_total",
-                         {{"op", msgKindName(kind)}},
-                         double(opCount(kind)),
-                         "Requests by opcode");
-        sink.gauge("adcache_net_request_p50_ns", {},
-                   double(requestPercentileNs(0.50)),
-                   "Request latency median (bucket upper edge)");
-        sink.gauge("adcache_net_request_p99_ns", {},
-                   double(requestPercentileNs(0.99)),
-                   "Request latency p99 (bucket upper edge)");
+        obs::forEachCounter(serviceCounterTable(), *this, {}, 0,
+                            [&](const obs::CounterSample &c) {
+                                obs::collectSample(sink, c);
+                            });
     });
 }
 

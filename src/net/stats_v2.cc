@@ -6,83 +6,17 @@ namespace adcache::net
 const char *
 statTagName(StatTag tag)
 {
+    // One case per tagged row: a reused tag number fails to compile.
+#define ADCACHE_NAME_TAG(enumerator, number, name)                        \
+    case StatTag::enumerator:                                             \
+        return name;
+#define ADCACHE_NAME_NO_TAG
+#define ADCACHE_TAG_NAME(value, v1, tag, ...) ADCACHE_NAME_##tag
     switch (tag) {
-      case StatTag::ShardCount:
-        return "shard_count";
-      case StatTag::Capacity:
-        return "capacity";
-      case StatTag::Size:
-        return "size";
-      case StatTag::Pinned:
-        return "pinned";
-      case StatTag::ClockNow:
-        return "clock_now";
-      case StatTag::References:
-        return "references";
-      case StatTag::Hits:
-        return "hits";
-      case StatTag::Misses:
-        return "misses";
-      case StatTag::Gets:
-        return "gets";
-      case StatTag::GetHits:
-        return "get_hits";
-      case StatTag::Evictions:
-        return "evictions";
-      case StatTag::AdmitRejects:
-        return "admit_rejects";
-      case StatTag::Expirations:
-        return "expirations";
-      case StatTag::ReadRetries:
-        return "read_retries";
-      case StatTag::SlowProbes:
-        return "slow_probes";
-      case StatTag::SelectionFlips:
-        return "selection_flips";
-      case StatTag::DiffMisses:
-        return "diff_misses";
-      case StatTag::Winner:
-        return "winner";
-      case StatTag::HitRatePpm:
-        return "hit_rate_ppm";
-      case StatTag::Requests:
-        return "requests";
-      case StatTag::Errors:
-        return "errors";
-      case StatTag::OpGet:
-        return "op_get";
-      case StatTag::OpPut:
-        return "op_put";
-      case StatTag::OpDel:
-        return "op_del";
-      case StatTag::OpPing:
-        return "op_ping";
-      case StatTag::OpStats:
-        return "op_stats";
-      case StatTag::OpMGet:
-        return "op_mget";
-      case StatTag::RequestP50Ns:
-        return "request_p50_ns";
-      case StatTag::RequestP99Ns:
-        return "request_p99_ns";
-      case StatTag::Connections:
-        return "connections";
-      case StatTag::FramesIn:
-        return "frames_in";
-      case StatTag::BytesIn:
-        return "bytes_in";
-      case StatTag::BytesOut:
-        return "bytes_out";
-      case StatTag::BackpressureParks:
-        return "backpressure_parks";
-      case StatTag::OutBufHighWater:
-        return "outbuf_high_water";
-      case StatTag::TraceCompiled:
-        return "trace_compiled";
-      case StatTag::TraceEnabled:
-        return "trace_enabled";
-      case StatTag::TraceDrops:
-        return "trace_drops";
+        ADCACHE_KV_COUNTERS(ADCACHE_TAG_NAME)
+        ADCACHE_SERVICE_COUNTERS(ADCACHE_TAG_NAME)
+        ADCACHE_TRANSPORT_COUNTERS(ADCACHE_TAG_NAME)
+        ADCACHE_TRACE_COUNTERS(ADCACHE_TAG_NAME)
     }
     return "?";
 }

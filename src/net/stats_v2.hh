@@ -33,64 +33,28 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/counter_table.hh"
+
 namespace adcache::net
 {
 
 inline constexpr std::uint8_t kStatsV2Version = 2;
 inline constexpr std::uint16_t kStatsGlobalShard = 0xFFFF;
 
-/** Sample tags. APPEND ONLY — never renumber. */
+/**
+ * Sample tags: one enumerator per TAG(...) column of the counter
+ * tables (obs/counter_table.hh), which give each tag's number, name
+ * and meaning. APPEND ONLY — never renumber.
+ */
 enum class StatTag : std::uint16_t
 {
-    // Cache shape / identity (global).
-    ShardCount = 1,
-    Capacity = 2,
-    Size = 3,
-    Pinned = 4,
-    ClockNow = 5,
-
-    // Cache counters (global and per-shard; per-shard Hits/Misses
-    // fold filling and non-filling outcomes together).
-    References = 16,
-    Hits = 17,
-    Misses = 18,
-    Gets = 19,
-    GetHits = 20,
-    Evictions = 21,
-    AdmitRejects = 22,
-    Expirations = 23,
-    ReadRetries = 24,
-    SlowProbes = 25,
-    SelectionFlips = 26,
-    DiffMisses = 27,
-    Winner = 28,     //!< component ordinal (per-shard)
-    HitRatePpm = 29, //!< hit rate x 1e6
-
-    // Service counters (global).
-    Requests = 48,
-    Errors = 49,
-    OpGet = 50,
-    OpPut = 51,
-    OpDel = 52,
-    OpPing = 53,
-    OpStats = 54,
-    OpMGet = 55,
-    RequestP50Ns = 56,
-    RequestP99Ns = 57,
-
-    // Transport counters (global; absent on loopback-only setups).
-    Connections = 64,
-    FramesIn = 65,
-    BytesIn = 66,
-    BytesOut = 67,
-    BackpressureParks = 68,
-    OutBufHighWater = 69,
-
-    // Trace-plane health (global; TraceDrops also per-ring with
-    // shard = ring index).
-    TraceCompiled = 80,
-    TraceEnabled = 81,
-    TraceDrops = 82,
+#define ADCACHE_ENUM_TAG(enumerator, number, name) enumerator = number,
+#define ADCACHE_ENUM_NO_TAG
+#define ADCACHE_STAT_TAG(value, v1, tag, ...) ADCACHE_ENUM_##tag
+    ADCACHE_KV_COUNTERS(ADCACHE_STAT_TAG)
+    ADCACHE_SERVICE_COUNTERS(ADCACHE_STAT_TAG)
+    ADCACHE_TRANSPORT_COUNTERS(ADCACHE_STAT_TAG)
+    ADCACHE_TRACE_COUNTERS(ADCACHE_STAT_TAG)
 };
 
 /** Canonical lower-case snake_case name, "?" for unknown tags. */
@@ -99,13 +63,24 @@ const char *statTagName(StatTag tag);
 /** One sample. */
 struct StatSample
 {
-    StatTag tag = StatTag::ShardCount;
+    StatTag tag{};
     std::uint16_t shard = kStatsGlobalShard;
     std::uint64_t value = 0;
 
     friend bool operator==(const StatSample &,
                            const StatSample &) = default;
 };
+
+/** The Stats v2 plane: append @p c's sample, if its row is tagged. */
+inline void
+appendSample(std::vector<StatSample> &out, const obs::CounterSample &c)
+{
+    if (c.row.tag != 0 && c.shard < kStatsGlobalShard)
+        out.push_back({StatTag(c.row.tag),
+                       c.shard < 0 ? kStatsGlobalShard
+                                   : std::uint16_t(c.shard),
+                       c.count});
+}
 
 /** Encode @p samples into a v2 blob (rides in a StatsV2 payload). */
 std::string encodeStatsV2(std::uint16_t shardCount,

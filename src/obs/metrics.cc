@@ -4,7 +4,10 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
+#include <unordered_map>
 
+#include "obs/counter_table.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
 
@@ -489,11 +492,26 @@ appendValue(std::string &out, double v)
 std::string
 renderPrometheus(const MetricsSnapshot &snap)
 {
+    // The exposition format wants all lines of a family in one
+    // group, but registration interleaves families (per-shard
+    // gauges created shard by shard, collectors looping shards):
+    // render family by family, in first-appearance order, samples
+    // in scrape order within one.
+    std::unordered_map<std::string_view, std::size_t> rank;
+    std::vector<const MetricSample *> grouped;
+    for (const MetricSample &s : snap.samples) {
+        rank.try_emplace(s.name, rank.size());
+        grouped.push_back(&s);
+    }
+    std::stable_sort(grouped.begin(), grouped.end(),
+                     [&](const MetricSample *a, const MetricSample *b) {
+                         return rank[a->name] < rank[b->name];
+                     });
+
     std::string out;
     out.reserve(snap.samples.size() * 64);
-    // HELP/TYPE are emitted once per family name, at its first
-    // occurrence; later samples of the same name (other label sets)
-    // print bare. Registration order is preserved throughout.
+    // HELP/TYPE are emitted once per family, at its first sample;
+    // later samples of the family (other label sets) print bare.
     std::vector<std::string> announced;
     auto announce = [&](const MetricSample &s) {
         if (std::find(announced.begin(), announced.end(), s.name) !=
@@ -514,7 +532,8 @@ renderPrometheus(const MetricsSnapshot &snap)
         out += '\n';
     };
 
-    for (const MetricSample &s : snap.samples) {
+    for (const MetricSample *sample : grouped) {
+        const MetricSample &s = *sample;
         announce(s);
         if (s.kind != MetricKind::Histogram) {
             out += s.name;
@@ -560,24 +579,26 @@ renderPrometheus(const MetricsSnapshot &snap)
     return out;
 }
 
+CounterTable<std::uint64_t>
+traceCounterTable()
+{
+    using Value = CounterValue<std::uint64_t>;
+#define ADCACHE_VALUE_FORMULA(e)                                          \
+    Value{[]([[maybe_unused]] const std::uint64_t &s,                     \
+             unsigned) -> std::uint64_t { return e; }}
+    static constexpr Value values[] = {
+        ADCACHE_TRACE_COUNTERS(ADCACHE_COUNTER_VALUE)};
+    return {kTraceCounterRows, values};
+}
+
 void
 registerTraceMetrics(MetricsRegistry &reg)
 {
     reg.addCollector([](MetricsSink &sink) {
-        sink.gauge("adcache_trace_compiled", {},
-                   kTraceCompiled ? 1.0 : 0.0,
-                   "Whether ADCACHE_TRACE instrumentation is "
-                   "compiled in");
-        sink.gauge("adcache_trace_enabled", {},
-                   traceEnabled() ? 1.0 : 0.0,
-                   "Whether decision-event tracing is live");
-        const std::vector<std::uint64_t> drops = perRingDrops();
-        for (std::size_t i = 0; i < drops.size(); ++i)
-            sink.counter("adcache_trace_dropped_total",
-                         {{"ring", std::to_string(i)}},
-                         double(drops[i]),
-                         "Trace events dropped per ring since the "
-                         "last reset");
+        const std::vector<std::uint64_t> rings = perRingDrops();
+        forEachCounter<std::uint64_t>(
+            traceCounterTable(), droppedTotal(), rings, 0,
+            [&](const CounterSample &c) { collectSample(sink, c, "ring"); });
     });
 }
 

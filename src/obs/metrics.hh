@@ -25,8 +25,9 @@
  * A scrape() walks families in registration order, merges thread
  * shards, runs collectors, and returns a MetricsSnapshot;
  * renderPrometheus() turns one into the Prometheus text exposition
- * format (version 0.0.4): stable ordering, escaped label values,
- * cumulative histogram buckets with le/+Inf, _sum and _count.
+ * format (version 0.0.4): every family one contiguous group, in
+ * first-appearance order, escaped label values, cumulative
+ * histogram buckets with le/+Inf, _sum and _count.
  */
 
 #ifndef ADCACHE_OBS_METRICS_HH
@@ -249,7 +250,10 @@ class MetricsRegistry
     std::unique_ptr<class MetricsRegistryImpl> impl_;
 };
 
-/** Render @p snap in the Prometheus text exposition format. */
+/** Render @p snap in the Prometheus text exposition format: the
+ *  samples of one family form one group (HELP/TYPE once, at its
+ *  head), families in order of first appearance, samples in scrape
+ *  order within a family. */
 std::string renderPrometheus(const MetricsSnapshot &snap);
 
 /**

@@ -4,7 +4,7 @@
  * (ctest -L kvtorture; run under the asan and tsan presets — see
  * docs/TESTING.md).
  *
- * Three proof shapes:
+ * Four proof shapes:
  *  - Determinism: threads that partition operations by shard
  *    preserve per-shard order, so every counter and the resident
  *    set must equal a serial replay with the same drain schedule.
@@ -15,6 +15,8 @@
  *  - Quiescent accounting: after the storm, the per-shard identities
  *    (references = hits + misses, size = inserts - evictions -
  *    erases, ...) must balance exactly.
+ *  - Snapshot coherence: a counter snapshot taken while lock-free
+ *    hits land never reports more probe hits than probes.
  */
 
 #include "kv/adaptive_kv_cache.hh"
@@ -23,6 +25,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "oracle/kv_fuzzer.hh"
@@ -385,6 +388,40 @@ TEST(KvTortureTest, ContainsRacesNeverMisreportValueIdentity)
         }
     });
     EXPECT_EQ(mismatches.load(), 0u);
+    expectAccountingBalanced(cache);
+}
+
+TEST(KvTortureTest, SnapshotsNeverCountMoreProbeHitsThanProbes)
+{
+    // Lock-free hits bump gets and then getHits without the shard
+    // mutex, so a snapshot taken mid-hit must still never report
+    // more probe hits than probes: gets - getHits feeds the Misses
+    // rows of every exporter, and a wrapped difference reads as
+    // ~1.8e19 misses.
+    AdaptiveKvCache cache(tortureConfig(1, 64));
+    cache.put(7, kvExpectedValue(7));
+    std::atomic<bool> stop{false};
+    std::atomic<int> running{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 3; ++t)
+        readers.emplace_back([&] {
+            running.fetch_add(1);
+            while (!stop.load(std::memory_order_relaxed))
+                (void)cache.get(7);
+        });
+    while (running.load() < 3)
+        std::this_thread::yield();
+    std::uint64_t snapshots = 0, bad = 0;
+    for (int i = 0; i < 200'000; ++i)
+        for (const KvShardTelemetry &t : cache.shardTelemetry()) {
+            ++snapshots;
+            if (t.getHits > t.gets || t.hitRate() > 1.0)
+                ++bad;
+        }
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread &t : readers)
+        t.join();
+    EXPECT_EQ(bad, 0u) << "of " << snapshots << " snapshots";
     expectAccountingBalanced(cache);
 }
 

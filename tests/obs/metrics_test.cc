@@ -10,15 +10,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "net/loopback.hh"
+#include "net/service.hh"
 #include "obs/metrics.hh"
+#include "obs/pump.hh"
 #include "obs/trace.hh"
 
 using namespace adcache::obs;
+namespace net = adcache::net;
 
 namespace
 {
@@ -31,6 +38,62 @@ find(const MetricsSnapshot &snap, const std::string &name,
         if (s.name == name && s.labels == labels)
             return &s;
     return nullptr;
+}
+
+
+/**
+ * Assert the exposition format's grouping rule: every line of a
+ * family (its HELP, TYPE and samples, histogram _bucket/_sum/_count
+ * included) sits in one contiguous block, HELP/TYPE announced once
+ * at its head.
+ */
+void
+expectFamiliesContiguous(const std::string &text)
+{
+    std::vector<std::string> closed; // families whose block ended
+    std::vector<std::string> typed, histograms;
+    std::string current;
+    auto enter = [&](const std::string &family, const std::string &l) {
+        if (family == current)
+            return;
+        EXPECT_EQ(std::count(closed.begin(), closed.end(), family), 0)
+            << "family " << family << " reopened at: " << l << "\n"
+            << text;
+        if (!current.empty())
+            closed.push_back(current);
+        current = family;
+    };
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("# ", 0) == 0) {
+            std::istringstream words(line.substr(2));
+            std::string keyword, family, type;
+            words >> keyword >> family >> type;
+            if (keyword == "TYPE") {
+                EXPECT_EQ(std::count(typed.begin(), typed.end(), family),
+                          0)
+                    << "TYPE twice for " << family << "\n"
+                    << text;
+                typed.push_back(family);
+                if (type == "histogram")
+                    histograms.push_back(family);
+            }
+            enter(family, line);
+            continue;
+        }
+        std::string name = line.substr(0, line.find_first_of("{ "));
+        for (const char *suffix : {"_bucket", "_sum", "_count"}) {
+            const std::string base =
+                name.substr(0, name.size() - std::strlen(suffix));
+            if (name.size() > std::strlen(suffix) &&
+                name.compare(base.size(), std::string::npos, suffix) ==
+                    0 &&
+                std::count(histograms.begin(), histograms.end(), base))
+                name = base;
+        }
+        enter(name, line);
+    }
 }
 
 } // namespace
@@ -167,10 +230,10 @@ TEST(Metrics, PrometheusExpositionGolden)
         "# HELP a_total First counter\n"
         "# TYPE a_total counter\n"
         "a_total 3\n"
+        "a_total{op=\"get\"} 1\n"
         "# HELP b_now A gauge\n"
         "# TYPE b_now gauge\n"
-        "b_now{shard=\"0\"} 1.5\n"
-        "a_total{op=\"get\"} 1\n";
+        "b_now{shard=\"0\"} 1.5\n";
     EXPECT_EQ(text, expect);
 }
 
@@ -294,4 +357,90 @@ TEST(Metrics, TraceMetricsReportRingStateAndDrops)
     for (const MetricSample &s : snap.samples)
         if (s.name == "adcache_trace_dropped_total")
             EXPECT_EQ(s.labels.at(0).first, "ring");
+}
+
+TEST(Metrics, PrometheusGroupsInterleavedFamilies)
+{
+    // Per-shard gauges registered lazily, shard by shard, interleave
+    // two families in registration order; a collector interleaves
+    // two more. Each family must still render as one block.
+    MetricsRegistry reg;
+    for (int s = 0; s < 2; ++s) {
+        const MetricLabels labels = {{"shard", std::to_string(s)}};
+        reg.gauge("flip_ewma", "Flip EWMA", labels).set(s);
+        reg.gauge("miss_ewma", "Miss EWMA", labels).set(10 + s);
+    }
+    reg.addCollector([](MetricsSink &sink) {
+        for (int s = 0; s < 2; ++s) {
+            const MetricLabels labels = {{"shard", std::to_string(s)}};
+            sink.counter("hits_total", labels, 100 + s, "Hits");
+            sink.gauge("winner", labels, s, "Winner");
+        }
+    });
+    HistogramHandle h = reg.histogram("lat_ns", "Latency");
+    reg.counter("hits_total", "Hits", {{"shard", "9"}}).inc(7);
+    h.observe(1);
+
+    const std::string text = renderPrometheus(reg.scrape());
+    expectFamiliesContiguous(text);
+    const std::string expect_head =
+        "# HELP flip_ewma Flip EWMA\n"
+        "# TYPE flip_ewma gauge\n"
+        "flip_ewma{shard=\"0\"} 0\n"
+        "flip_ewma{shard=\"1\"} 1\n"
+        "# HELP miss_ewma Miss EWMA\n"
+        "# TYPE miss_ewma gauge\n"
+        "miss_ewma{shard=\"0\"} 10\n"
+        "miss_ewma{shard=\"1\"} 11\n"
+        "# HELP lat_ns Latency\n"
+        "# TYPE lat_ns histogram\n";
+    EXPECT_EQ(text.substr(0, expect_head.size()), expect_head) << text;
+    const std::string expect_hits =
+        "# HELP hits_total Hits\n"
+        "# TYPE hits_total counter\n"
+        "hits_total{shard=\"9\"} 7\n"
+        "hits_total{shard=\"0\"} 100\n"
+        "hits_total{shard=\"1\"} 101\n"
+        "# HELP winner Winner\n";
+    EXPECT_NE(text.find(expect_hits), std::string::npos) << text;
+}
+
+TEST(Metrics, PrometheusGroupsAServedCacheScrape)
+{
+    // The kv_server registry shape: a 2-shard service (per-shard
+    // cache rows), the drift pump's lazily registered per-shard
+    // gauges, and the trace plane.
+    net::KvServiceConfig config;
+    config.cache.capacity = 256;
+    config.cache.numShards = 2;
+    config.cache.numBuckets = 16;
+    net::KvService service(config);
+    MetricsRegistry reg;
+    service.registerMetrics(reg);
+    registerTraceMetrics(reg);
+    TelemetryPumpConfig pump_config;
+    pump_config.metrics = &reg;
+    pump_config.logSink = [](const std::string &) {};
+    pump_config.driftSampler = [&service] {
+        std::vector<DriftShardSample> out;
+        for (const auto &t : service.cache().shardTelemetry())
+            out.push_back({t.selectionFlips, t.diffMisses, t.ops()});
+        return out;
+    };
+    TelemetryPump pump(pump_config);
+    {
+        net::LoopbackConnection conn(service);
+        for (std::uint64_t k = 0; k < 512; ++k) {
+            conn.put(k, "v");
+            conn.get(k / 3);
+        }
+    }
+    pump.tickOnce();
+
+    const std::string text = renderPrometheus(reg.scrape());
+    expectFamiliesContiguous(text);
+    EXPECT_NE(text.find("adcache_kv_shard_hits_total{shard=\"1\"}"),
+              std::string::npos);
+    EXPECT_NE(text.find("adcache_kv_drift_flip_ewma{shard=\"1\"}"),
+              std::string::npos);
 }
