@@ -89,7 +89,6 @@ cacheConfig(SelectorMode mode)
                       // exactly the capacity the cache has
     c.leaderEvery = 8;
     c.shadowTagBits = 16;
-    c.scope = EvictionScope::Shard;
     c.selector = mode;
     c.keyHash = KeyHashKind::Mix;
     return c;

@@ -55,7 +55,6 @@ cacheConfig()
     c.bucketWays = 4;
     c.leaderEvery = 8;
     c.shadowTagBits = 16;
-    c.scope = EvictionScope::Shard;
     c.selector = SelectorMode::Adaptive;
     c.keyHash = KeyHashKind::Mix;
     return c;

@@ -36,16 +36,13 @@ cacheConfig(SelectorMode mode)
     c.bucketWays = 4;
     c.leaderEvery = 8;
     c.shadowTagBits = 16;
-    c.scope = EvictionScope::Shard;
     c.selector = mode;
     c.keyHash = KeyHashKind::Mix;
     return c;
 }
 
-/** The benchmarked variants: the three shard-scope selector modes,
- *  the bucket-scope LRU-vs-CMS-LFU pairing (the sketch policy has no
- *  shard-wide intrusive order), and admission adaptivity over
- *  filter-on/filter-off LRU twins. */
+/** The benchmarked variants: the three selector modes, and
+ *  admission adaptivity over filter-on/filter-off LRU twins. */
 std::vector<std::pair<std::string, KvConfig>>
 variants()
 {
@@ -53,12 +50,6 @@ variants()
     out.emplace_back("adaptive", cacheConfig(SelectorMode::Adaptive));
     out.emplace_back("lru", cacheConfig(SelectorMode::FixedLru));
     out.emplace_back("lfu", cacheConfig(SelectorMode::FixedLfu));
-
-    KvConfig cms = KvConfig::lockstep(1'024, 4, 16);
-    cms.keyHash = KeyHashKind::Mix;
-    cms.exactCounters = false;
-    cms.components[1] = {PolicyType::CmsLfu, false};
-    out.emplace_back("cmslfu", cms);
 
     KvConfig adm = cacheConfig(SelectorMode::Adaptive);
     adm.components[0] = {PolicyType::LRU, true};
@@ -127,9 +118,9 @@ main()
         }
         if (reportFormat() == ReportFormat::Table)
             std::printf("[%-11s] adaptive %.4f  lru %.4f  lfu %.4f"
-                        "  cmslfu %.4f  adm %.4f\n",
+                        "  adm %.4f\n",
                         name.c_str(), rate[0], rate[1], rate[2],
-                        rate[3], rate[4]);
+                        rate[3]);
     }
 
     if (reportFormat() != ReportFormat::Table)

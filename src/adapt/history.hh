@@ -4,9 +4,8 @@
  * (Sec. 2.2), generalized over *selection domains*. A domain is
  * whatever unit of the host structure carries its own selection
  * state: a cache set (AdaptiveCache), a leader-set ordinal
- * (SbarCache), a kv bucket (EvictionScope::Bucket) or a whole kv
- * shard (EvictionScope::Shard). The engine itself never interprets
- * the domain index.
+ * (SbarCache) or a whole kv shard (KvShard). The engine itself never
+ * interprets the domain index.
  *
  * The state of every domain lives in flat arrays — one heap object
  * per host structure instead of per domain, no virtual dispatch on

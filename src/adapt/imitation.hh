@@ -19,7 +19,7 @@
  *
  * The decision is parameterized by a *view* of one selection domain's
  * resident entries, so a sim cache set (ways + TagArray + shadow) and
- * a kv bucket/shard (intrusive entry chains + shadow directory) run
+ * a kv shard (intrusive entry chains + shadow directory) run
  * the identical decision procedure. A view models:
  *
  *   using Handle = ...;            // way index, entry pointer, ...

@@ -9,9 +9,8 @@
  *    Each domain owns a miss history (window or exact mode, see
  *    adapt/history.hh) and imitates the component with the fewest
  *    recorded misses. AdaptiveCache runs one domain per set, KvShard
- *    one per bucket (EvictionScope::Bucket) or one per shard
- *    (EvictionScope::Shard), SbarCache one per leader ordinal for its
- *    local leader histories. A fixed mode pins the winner for
+ *    one per shard, SbarCache one per leader ordinal for its local
+ *    leader histories. A fixed mode pins the winner for
  *    baseline/fixed-policy configurations without a second code path
  *    in the host.
  *

@@ -392,7 +392,7 @@ AdaptiveKvCache::size() const
 std::uint64_t
 AdaptiveKvCache::capacity() const
 {
-    return config_.totalCapacity();
+    return config_.capacity;
 }
 
 void
@@ -467,22 +467,14 @@ AdaptiveKvCache::describe() const
             << kvComponentName(config_.components[1]);
     out << "] (" << capacity() << " entries, " << config_.numShards
         << " shards x " << config_.numBuckets << " buckets";
-    if (config_.scope == EvictionScope::Bucket) {
-        out << ", bucket scope x" << config_.bucketWays;
-    } else {
-        out << ", shard scope, leaders every "
-            << config_.leaderEvery;
-    }
+    out << ", shard scope, leaders every " << config_.leaderEvery;
     if (config_.selector == SelectorMode::Adaptive) {
         if (config_.shadowTagBits == 0)
             out << ", full shadow tags";
         else
             out << ", " << config_.shadowTagBits
                 << "-bit shadow tags";
-        if (config_.exactCounters)
-            out << ", exact counters";
-        else
-            out << ", m=" << shards_[0]->config().historyDepth;
+        out << ", m=" << kvHistoryDepth;
     }
     out << ")";
     return out.str();

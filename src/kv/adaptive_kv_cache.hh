@@ -11,7 +11,7 @@
  * Mutating operations take exactly one shard mutex; shards share no
  * mutable state, so the cache scales with the number of shards until
  * the key distribution itself serializes (kv_throughput measures
- * this). With KvConfig::lockFreeReads (the Shard-scope default),
+ * this). With KvConfig::lockFreeReads (the default),
  * get/contains/pin/unpin serve their common cases without any mutex
  * at all: an epoch-guarded optimistic probe validated by per-bucket
  * seqlocks, with LRU/LFU promotion deferred into a bounded ring the

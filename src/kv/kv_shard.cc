@@ -57,15 +57,6 @@ KvShardConfig::fromCache(const KvConfig &config, unsigned shard_index)
     c.bucketWays = config.bucketWays;
     c.leaderEvery = config.leaderEvery;
     c.shadowTagBits = config.shadowTagBits;
-    c.xorFoldTags = config.xorFoldTags;
-    c.historyDepth =
-        config.historyDepth != 0
-            ? config.historyDepth
-            : (config.scope == EvictionScope::Bucket
-                   ? config.bucketWays
-                   : 64);
-    c.exactCounters = config.exactCounters;
-    c.scope = config.scope;
     c.selector = config.selector;
     for (unsigned k = 0; k < kvNumComponents; ++k)
         c.components[k] = config.components[k];
@@ -83,14 +74,12 @@ namespace
 adapt::Selector
 makeShardSelector(const KvShardConfig &config)
 {
-    const unsigned domains =
-        config.scope == EvictionScope::Bucket ? config.numBuckets : 1;
     if (config.selector == SelectorMode::Adaptive)
-        return adapt::Selector::makeAdaptive(domains, kvNumComponents,
-                                             config.exactCounters,
-                                             config.historyDepth);
+        return adapt::Selector::makeAdaptive(1, kvNumComponents,
+                                             /*exact_counters=*/false,
+                                             kvHistoryDepth);
     return adapt::Selector::makeFixed(
-        domains, kvNumComponents,
+        1, kvNumComponents,
         config.selector == SelectorMode::FixedLru ? kvComponentLru
                                                   : kvComponentLfu);
 }
@@ -107,85 +96,19 @@ anyShardAdmission(const KvShardConfig &config)
 } // namespace
 
 /**
- * Bucket-scope view: the slot array of one bucket against the
- * winner's shadow directory — the kv twin of the sim layer's
- * WaySetView, with pinned entries invisible in every case.
- */
-class KvShard::BucketScopeView
-{
-  public:
-    using Handle = unsigned;
-    static constexpr Handle kNone = ~0u;
-
-    BucketScopeView(KvShard &shard, unsigned bucket,
-                    const KvShadowDir &shadow)
-        : shard_(shard), bucket_(bucket), shadow_(shadow),
-          ways_(shard.slots_[bucket]), n_(shard.config_.bucketWays)
-    {
-    }
-
-    Handle
-    findDisplacedMatch(std::uint64_t displaced_tag) const
-    {
-        for (unsigned w = 0; w < n_; ++w) {
-            const KvEntry *e = ways_[w];
-            if (e && !e->isPinned() &&
-                shadow_.foldTag(e->tag) == displaced_tag)
-                return w;
-        }
-        return kNone;
-    }
-
-    Handle
-    findOutsideWinner() const
-    {
-        for (unsigned w = 0; w < n_; ++w) {
-            const KvEntry *e = ways_[w];
-            if (e && !e->isPinned() &&
-                !shadow_.containsTag(bucket_,
-                                     shadow_.foldTag(e->tag)))
-                return w;
-        }
-        return kNone;
-    }
-
-    Handle
-    fallback() const
-    {
-        const unsigned start = shard_.fallbackPtr_[bucket_];
-        for (unsigned i = 0; i < n_; ++i) {
-            const unsigned w = (start + i) % n_;
-            const KvEntry *e = ways_[w];
-            if (e && !e->isPinned()) {
-                shard_.fallbackPtr_[bucket_] = (w + 1) % n_;
-                return w;
-            }
-        }
-        return kNone; // every entry pinned
-    }
-
-  private:
-    KvShard &shard_;
-    unsigned bucket_;
-    const KvShadowDir &shadow_;
-    const std::vector<KvEntry *> &ways_;
-    unsigned n_;
-};
-
-/**
- * Shard-scope view: case 1 walks the referenced bucket's chain for
+ * The shard's view: case 1 walks the referenced bucket's chain for
  * the shadow-displaced tag, case 2 walks the winner component's own
  * eviction order over the real contents (follower semantics,
  * Sec. 4.7) at most bucketWays deep past pinned entries, case 3
  * rotates over the buckets for an arbitrary unpinned entry.
  */
-class KvShard::ShardScopeView
+class KvShard::ShardView
 {
   public:
     using Handle = KvEntry *;
     static constexpr Handle kNone = nullptr;
 
-    ShardScopeView(KvShard &shard, unsigned bucket, unsigned winner)
+    ShardView(KvShard &shard, unsigned bucket, unsigned winner)
         : shard_(shard), bucket_(bucket), winner_(winner)
     {
     }
@@ -260,14 +183,6 @@ KvShard::KvShard(const KvShardConfig &config)
     buckets_ = std::make_unique<Bucket[]>(config_.numBuckets);
     if (lockFreeEnabled())
         touches_ = std::make_unique<TouchRing>(config_.touchCapacity);
-    if (config_.scope == EvictionScope::Bucket) {
-        adcache_assert(config_.leaderEvery == 1);
-        adcache_assert(config_.selector == SelectorMode::Adaptive);
-        slots_.assign(config_.numBuckets,
-                      std::vector<KvEntry *>(config_.bucketWays,
-                                             nullptr));
-        fallbackPtr_.assign(config_.numBuckets, 0);
-    }
 
     if (anyShardAdmission(config_))
         admission_ = std::make_unique<adapt::TinyLfuAdmission>(
@@ -281,7 +196,7 @@ KvShard::KvShard(const KvShardConfig &config)
             shadows_[k] = std::make_unique<KvShadowDir>(
                 config_.numBuckets, config_.bucketWays,
                 config_.components[k].evict, config_.shadowTagBits,
-                config_.xorFoldTags, &rng_,
+                &rng_,
                 config_.components[k].admission ? admission_.get()
                                                 : nullptr);
         }
@@ -306,9 +221,6 @@ KvShard::~KvShard()
             e = next;
         }
     }
-    for (auto &ways : slots_)
-        for (KvEntry *e : ways)
-            delete e;
 }
 
 unsigned
@@ -339,7 +251,7 @@ KvShard::isLeader(unsigned bucket) const
 }
 
 KvEntry *
-KvShard::findChain(unsigned bucket, KvKey key) const
+KvShard::find(unsigned bucket, KvKey key) const
 {
     for (KvEntry *e =
              buckets_[bucket].chain.load(std::memory_order_seq_cst);
@@ -347,28 +259,6 @@ KvShard::findChain(unsigned bucket, KvKey key) const
         if (e->key == key)
             return e;
     return nullptr;
-}
-
-KvEntry *
-KvShard::findSlot(unsigned bucket, KvKey key, unsigned *way) const
-{
-    const auto &ways = slots_[bucket];
-    for (unsigned w = 0; w < config_.bucketWays; ++w) {
-        if (ways[w] && ways[w]->key == key) {
-            if (way)
-                *way = w;
-            return ways[w];
-        }
-    }
-    return nullptr;
-}
-
-KvEntry *
-KvShard::find(unsigned bucket, KvKey key, unsigned *way) const
-{
-    return config_.scope == EvictionScope::Bucket
-               ? findSlot(bucket, key, way)
-               : findChain(bucket, key);
 }
 
 std::uint64_t
@@ -388,34 +278,6 @@ KvShard::isExpired(const KvEntry *e) const
     const std::uint64_t stamp =
         e->expiry.load(std::memory_order_seq_cst);
     return stamp != 0 && stamp <= now;
-}
-
-KvEntry *
-KvShard::bucketVictim(unsigned bucket, unsigned winner,
-                      const ShadowOutcome &winner_out,
-                      unsigned *way_out, adapt::VictimCase &case_out)
-{
-    // Algorithm 1 (cf. AdaptiveCache), run by the shared engine.
-    BucketScopeView view(*this, bucket, *shadows_[winner]);
-    const auto choice = adapt::imitateVictim(
-        view, winner_out.evicted, winner_out.evictedTag);
-    case_out = choice.kind;
-    if (choice.handle == BucketScopeView::kNone)
-        return nullptr;
-    *way_out = choice.handle;
-    return slots_[bucket][choice.handle];
-}
-
-KvEntry *
-KvShard::shardVictim(unsigned bucket, bool leader, unsigned winner,
-                     const ShadowOutcome &winner_out,
-                     adapt::VictimCase &case_out)
-{
-    ShardScopeView view(*this, bucket, winner);
-    const auto choice = adapt::imitateVictim(
-        view, leader && winner_out.evicted, winner_out.evictedTag);
-    case_out = choice.kind;
-    return choice.handle;
 }
 
 void
@@ -515,7 +377,7 @@ KvShard::drainTouches()
         // The entry may have been evicted, erased, or replaced by a
         // fresh insert since the touch was queued; promoting by key
         // identity is exactly the relaxed semantics documented.
-        if (KvEntry *e = findChain(bucketOf(hash), key))
+        if (KvEntry *e = find(bucketOf(hash), key))
             promote(e);
     });
 }
@@ -527,18 +389,6 @@ KvShard::unlinkEntry(KvEntry *e)
         KvEntry::kDyingBit, std::memory_order_seq_cst);
     if (old & KvEntry::kPinnedBit)
         pinned_.fetch_sub(1, std::memory_order_seq_cst);
-    if (config_.scope == EvictionScope::Bucket) {
-        auto &ways = slots_[e->bucket];
-        for (unsigned w = 0; w < config_.bucketWays; ++w) {
-            if (ways[w] == e) {
-                ways[w] = nullptr;
-                break;
-            }
-        }
-        --size_;
-        delete e;
-        return;
-    }
     Bucket &b = buckets_[e->bucket];
     beginBucketChange(e->bucket);
     KvEntry *next = e->chainNext.load(std::memory_order_seq_cst);
@@ -593,17 +443,15 @@ KvShard::reference(KvKey key, std::uint64_t h,
             ++stats_.diffMisses;
         // Flips are rare, so the tracing gate hides behind the flip
         // check; with two components the loser is `winner ^ 1`.
-        if (selector_.record(domainOf(bucket), miss_mask) &&
-            obs::traceEnabled()) {
-            const unsigned to = selector_.winner(domainOf(bucket));
+        if (selector_.record(0, miss_mask) && obs::traceEnabled()) {
+            const unsigned to = selector_.winner(0);
             obs::emit(obs::kvWinnerFlipEvent(stats_.references,
                                              config_.shardIndex,
                                              to ^ 1u, to));
         }
     }
 
-    unsigned hit_way = 0;
-    KvEntry *resident = find(bucket, key, &hit_way);
+    KvEntry *resident = find(bucket, key);
     if (resident && isExpired(resident)) {
         // Lazy TTL: the stale twin is logically absent, so purge it
         // and run the rest of the reference as a miss (the fresh
@@ -616,8 +464,7 @@ KvShard::reference(KvKey key, std::uint64_t h,
     if (KvEntry *e = resident) {
         ++stats_.hits;
         out.hit = true;
-        if (config_.scope == EvictionScope::Shard)
-            promote(e);
+        promote(e);
         if (overwrite) {
             setValue(e, make_value());
             e->expiry.store(ttl ? nowTick() + ttl : 0,
@@ -638,65 +485,30 @@ KvShard::reference(KvKey key, std::uint64_t h,
 
     ++stats_.misses;
 
-    unsigned fill_way = config_.bucketWays;
-    bool need_evict;
-    if (config_.scope == EvictionScope::Bucket) {
-        const auto &ways = slots_[bucket];
-        for (unsigned w = 0; w < config_.bucketWays; ++w) {
-            if (!ways[w]) {
-                fill_way = w;
-                break;
-            }
-        }
-        need_evict = fill_way == config_.bucketWays;
-    } else {
-        need_evict = size_ >= config_.capacity;
-    }
-
-    if (need_evict) {
-        const unsigned winner = selector_.winner(domainOf(bucket));
+    if (size_ >= config_.capacity) {
+        const unsigned winner = selector_.winner(0);
         out.replaced = true;
         out.winner = winner;
         ++stats_.decisions[winner];
 
-        // Bucket scope imitates the winner's admission verdict: when
-        // its shadow refused to fill, the real bucket keeps its
-        // contents too. The decision is still counted — "bypass" was
-        // the winning component's replacement choice.
-        if (config_.scope == EvictionScope::Bucket &&
-            shadow_out[winner].bypassed) {
-            out.admitRejected = true;
-            ++stats_.admitRejects;
-            if (obs::traceEnabled())
-                obs::emit(obs::kvAdmitRejectEvent(stats_.references,
-                                                  config_.shardIndex,
-                                                  winner, key));
-            if (value_out)
-                *value_out = make_value();
-            return out;
-        }
-
+        ShardView view(*this, bucket, winner);
         adapt::VictimCase evict_case = adapt::VictimCase::VictimMatch;
         KvEntry *victim = nullptr;
         bool admit_rejected = false;
         for (;;) {
-            evict_case = adapt::VictimCase::VictimMatch;
-            victim = config_.scope == EvictionScope::Bucket
-                         ? bucketVictim(bucket, winner,
-                                        shadow_out[winner],
-                                        &fill_way, evict_case)
-                         : shardVictim(bucket, leader, winner,
-                                       shadow_out[winner],
-                                       evict_case);
+            const auto choice = adapt::imitateVictim(
+                view, leader && shadow_out[winner].evicted,
+                shadow_out[winner].evictedTag);
+            evict_case = choice.kind;
+            victim = choice.handle;
             if (!victim)
                 break;
-            // Shard scope queries the filter on the real
-            // (candidate, victim) pair — there is no per-reference
-            // shadow verdict to imitate for follower buckets or
-            // fixed selectors. Checked before the removal claim so
-            // a refused candidate never marks a victim dying.
-            if (config_.scope == EvictionScope::Shard &&
-                admission_ &&
+            // The filter is queried on the real (candidate, victim)
+            // pair — there is no per-reference shadow verdict to
+            // imitate for follower buckets or fixed selectors.
+            // Checked before the removal claim so a refused
+            // candidate never marks a victim dying.
+            if (admission_ &&
                 config_.components[winner].admission &&
                 !admission_->admit(admitKey(tag),
                                    admitKey(victim->tag))) {
@@ -737,10 +549,8 @@ KvShard::reference(KvKey key, std::uint64_t h,
 
         switch (evict_case) {
           case adapt::VictimCase::VictimMatch:
-            if (config_.scope == EvictionScope::Shard) {
-                out.directed = true;
-                ++stats_.directedEvictions;
-            }
+            out.directed = true;
+            ++stats_.directedEvictions;
             break;
           case adapt::VictimCase::ShadowAbsent:
             break;
@@ -772,22 +582,18 @@ KvShard::reference(KvKey key, std::uint64_t h,
                    std::memory_order_relaxed);
     if (pin)
         pinned_.fetch_add(1, std::memory_order_seq_cst);
-    if (config_.scope == EvictionScope::Bucket) {
-        slots_[bucket][fill_way] = e;
-    } else {
-        Bucket &b = buckets_[bucket];
-        KvEntry *head = b.chain.load(std::memory_order_seq_cst);
-        e->chainNext.store(head, std::memory_order_relaxed);
-        beginBucketChange(bucket);
-        if (head)
-            head->chainPrev = e;
-        // Publication point: every field above is initialized
-        // before the head store makes the entry reachable.
-        b.chain.store(e, std::memory_order_seq_cst);
-        endBucketChange(bucket);
-        recency_.pushFront(e);
-        lfu_.onInsert(e);
-    }
+    Bucket &b = buckets_[bucket];
+    KvEntry *head = b.chain.load(std::memory_order_seq_cst);
+    e->chainNext.store(head, std::memory_order_relaxed);
+    beginBucketChange(bucket);
+    if (head)
+        head->chainPrev = e;
+    // Publication point: every field above is initialized before the
+    // head store makes the entry reachable.
+    b.chain.store(e, std::memory_order_seq_cst);
+    endBucketChange(bucket);
+    recency_.pushFront(e);
+    lfu_.onInsert(e);
     ++size_;
     ++stats_.inserts;
     out.inserted = true;
@@ -811,7 +617,7 @@ KvShard::probe(KvKey key, std::uint64_t h, unsigned retries)
                 config_.shardIndex, retries, key));
     }
     gets_.fetch_add(1, std::memory_order_relaxed);
-    KvEntry *e = find(bucketOf(h), key, nullptr);
+    KvEntry *e = find(bucketOf(h), key);
     if (!e)
         return nullptr;
     if (isExpired(e)) {
@@ -820,8 +626,7 @@ KvShard::probe(KvKey key, std::uint64_t h, unsigned retries)
         return nullptr;
     }
     getHits_.fetch_add(1, std::memory_order_relaxed);
-    if (config_.scope == EvictionScope::Shard)
-        promote(e);
+    promote(e);
     return e->value.load(std::memory_order_seq_cst);
 }
 
@@ -906,7 +711,7 @@ KvShard::touchSlow(KvKey key, std::uint64_t h)
     // applies the promotion the full ring could not absorb.
     slowProbes_.fetch_add(1, std::memory_order_relaxed);
     drainTouches();
-    if (KvEntry *e = findChain(bucketOf(h), key))
+    if (KvEntry *e = find(bucketOf(h), key))
         promote(e);
 }
 
@@ -989,7 +794,7 @@ bool
 KvShard::erase(KvKey key, std::uint64_t h)
 {
     drainTouches();
-    KvEntry *e = find(bucketOf(h), key, nullptr);
+    KvEntry *e = find(bucketOf(h), key);
     if (!e)
         return false;
     if (isExpired(e)) {
@@ -1008,7 +813,7 @@ bool
 KvShard::setPinned(KvKey key, std::uint64_t h, bool pinned)
 {
     drainTouches();
-    KvEntry *e = find(bucketOf(h), key, nullptr);
+    KvEntry *e = find(bucketOf(h), key);
     if (!e)
         return false;
     if (isExpired(e)) {
@@ -1034,17 +839,8 @@ KvShard::setPinned(KvKey key, std::uint64_t h, bool pinned)
 bool
 KvShard::contains(KvKey key, std::uint64_t h) const
 {
-    const KvEntry *e = find(bucketOf(h), key, nullptr);
+    const KvEntry *e = find(bucketOf(h), key);
     return e != nullptr && !isExpired(e);
-}
-
-std::uint64_t
-KvShard::capacity() const
-{
-    return config_.scope == EvictionScope::Bucket
-               ? std::uint64_t(config_.numBuckets) *
-                     config_.bucketWays
-               : config_.capacity;
 }
 
 std::uint64_t
@@ -1060,15 +856,15 @@ KvShard::selectionFlips() const
 }
 
 unsigned
-KvShard::currentWinner(unsigned bucket) const
+KvShard::currentWinner() const
 {
-    return selector_.winner(domainOf(bucket));
+    return selector_.winner(0);
 }
 
 std::uint64_t
-KvShard::historyCount(unsigned bucket, unsigned k) const
+KvShard::historyCount(unsigned k) const
 {
-    return selector_.count(domainOf(bucket), k);
+    return selector_.count(0, k);
 }
 
 std::vector<KvKey>
@@ -1076,19 +872,11 @@ KvShard::residentKeys() const
 {
     std::vector<KvKey> keys;
     keys.reserve(size_);
-    if (config_.scope == EvictionScope::Bucket) {
-        for (const auto &ways : slots_)
-            for (const KvEntry *e : ways)
-                if (e)
-                    keys.push_back(e->key);
-    } else {
-        for (unsigned i = 0; i < config_.numBuckets; ++i)
-            for (const KvEntry *e = buckets_[i].chain.load(
-                     std::memory_order_seq_cst);
-                 e;
-                 e = e->chainNext.load(std::memory_order_seq_cst))
-                keys.push_back(e->key);
-    }
+    for (unsigned i = 0; i < config_.numBuckets; ++i)
+        for (const KvEntry *e =
+                 buckets_[i].chain.load(std::memory_order_seq_cst);
+             e; e = e->chainNext.load(std::memory_order_seq_cst))
+            keys.push_back(e->key);
     return keys;
 }
 

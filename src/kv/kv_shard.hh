@@ -4,13 +4,12 @@
  * key-value entries whose replacement is the paper's Algorithm 1
  * re-hosted on software structures.
  *
- * In EvictionScope::Shard (production) the shard keeps an intrusive
- * recency list and O(1) LFU frequency lists over every resident
- * entry (both components' metadata alive at all times, the Sec. 4.7
- * follower idea), while a sampled set of leader buckets carries
- * partial-hash shadow directories whose differentiating misses train
- * one per-shard m-bit selector. Victim selection mirrors Algorithm 1
- * case by case:
+ * The shard keeps an intrusive recency list and O(1) LFU frequency
+ * lists over every resident entry (both components' metadata alive
+ * at all times, the Sec. 4.7 follower idea), while a sampled set of
+ * leader buckets carries partial-hash shadow directories whose
+ * differentiating misses train one per-shard m-bit selector. Victim
+ * selection mirrors Algorithm 1 case by case:
  *
  *   1. directed — the winner's shadow displaced a tag this reference
  *      and a resident entry of the bucket folds to it: evict it;
@@ -22,19 +21,17 @@
  *      Sec. 3.1): a rotating cursor picks an arbitrary unpinned
  *      entry; if everything is pinned the insertion is rejected.
  *
- * In EvictionScope::Bucket (verification) every bucket is a
- * fixed-capacity set with its own shadow directories and history and
- * the three cases are transcribed verbatim from AdaptiveCache —
- * this configuration is lockstep-diffed against the oracle
- * RefAdaptiveCache (src/oracle/kv_lockstep.hh).
+ * The naive model RefKvShard (src/oracle/ref_kv_shard.hh) is
+ * lockstepped against this class op by op (docs/KVCACHE.md
+ * "Verification").
  *
  * Mutating operations are externally synchronized (AdaptiveKvCache
- * wraps each shard in its own mutex). In Shard scope with
- * lockFreeReads, the read-only surface — tryProbe / containsRelaxed
- * / trySetPinned — may additionally run WITHOUT the mutex from any
- * thread holding an EpochGuard; see docs/KVCACHE.md "Concurrency
- * model" for the protocol (per-bucket seqlock validation, deferred
- * touches, epoch-based reclamation).
+ * wraps each shard in its own mutex). With lockFreeReads, the
+ * read-only surface — tryProbe / containsRelaxed / trySetPinned —
+ * may additionally run WITHOUT the mutex from any thread holding an
+ * EpochGuard; see docs/KVCACHE.md "Concurrency model" for the
+ * protocol (per-bucket seqlock validation, deferred touches,
+ * epoch-based reclamation).
  */
 
 #ifndef ADCACHE_KV_KV_SHARD_HH
@@ -95,22 +92,18 @@ obs::CounterTable<KvShardStats> kvCounterTable();
 /** Resolved per-shard configuration. */
 struct KvShardConfig
 {
-    std::uint64_t capacity = 8 * 1024; //!< entries (Shard scope)
+    std::uint64_t capacity = 8 * 1024; //!< entries
     unsigned numBuckets = 1024;
     unsigned bucketWays = 8;
     unsigned leaderEvery = 8;
     unsigned shadowTagBits = 16;
-    bool xorFoldTags = false;
-    unsigned historyDepth = 64; //!< resolved, nonzero
-    bool exactCounters = false;
-    EvictionScope scope = EvictionScope::Shard;
     SelectorMode selector = SelectorMode::Adaptive;
     KvComponentSpec components[kvNumComponents] = {
         {PolicyType::LRU, false}, {PolicyType::LFU, false}};
     unsigned hashShift = 0; //!< hash bits consumed by shard selection
     unsigned shardIndex = 0; //!< position in the owning cache
     std::uint64_t rngSeed = 1;
-    bool lockFreeReads = true; //!< effective only in Shard scope
+    bool lockFreeReads = true;
     unsigned touchCapacity = 256; //!< deferred-touch ring size
 
     /** TTL clock (logical ticks), owned by the facade and shared by
@@ -213,12 +206,7 @@ class KvShard
     int trySetPinned(KvKey key, std::uint64_t h, bool pinned);
 
     /** True iff the mutex-free read surface is active. */
-    bool
-    lockFreeEnabled() const
-    {
-        return config_.lockFreeReads &&
-               config_.scope == EvictionScope::Shard;
-    }
+    bool lockFreeEnabled() const { return config_.lockFreeReads; }
 
     /** Remove @p key. @return true iff it was resident. */
     bool erase(KvKey key, std::uint64_t h);
@@ -230,7 +218,7 @@ class KvShard
     bool contains(KvKey key, std::uint64_t h) const;
 
     std::size_t size() const { return size_; }
-    std::uint64_t capacity() const;
+    std::uint64_t capacity() const { return config_.capacity; }
     std::uint64_t
     pinnedCount() const
     {
@@ -248,14 +236,14 @@ class KvShard
     /** Misses of component @p k's shadow directories (0 if none). */
     std::uint64_t shadowMisses(unsigned k) const;
 
-    /** Selection flips, summed over this shard's selectors. */
+    /** Times the shard's winner changed sides. */
     std::uint64_t selectionFlips() const;
 
-    /** Current winner of @p bucket's selection domain. */
-    unsigned currentWinner(unsigned bucket = 0) const;
+    /** The component the shard imitates right now. */
+    unsigned currentWinner() const;
 
-    /** History weight of component @p k in @p bucket's domain. */
-    std::uint64_t historyCount(unsigned bucket, unsigned k) const;
+    /** Windowed differentiating-miss weight of component @p k. */
+    std::uint64_t historyCount(unsigned k) const;
 
     /** All resident keys (unordered). */
     std::vector<KvKey> residentKeys() const;
@@ -265,7 +253,7 @@ class KvShard
   private:
     struct alignas(64) Bucket
     {
-        /** Shard-scope hash chain head (readers traverse it). */
+        /** Hash chain head (readers traverse it). */
         std::atomic<KvEntry *> chain{nullptr};
         /** Per-bucket seqlock: odd while a writer restructures the
          *  chain. Readers use it to validate misses and bound their
@@ -281,9 +269,8 @@ class KvShard
         const std::string *str = nullptr; //!< ... with entry
     };
 
-    /** adapt::imitateVictim views (defined in kv_shard.cc). */
-    class BucketScopeView;
-    class ShardScopeView;
+    /** adapt::imitateVictim's view of the shard (kv_shard.cc). */
+    class ShardView;
 
     unsigned bucketOf(std::uint64_t h) const;
     std::uint64_t tagOf(std::uint64_t h) const;
@@ -291,22 +278,13 @@ class KvShard
     /** Account tryProbe's validated miss after @p retries re-walks. */
     ProbeResult validatedMiss(unsigned retries, unsigned *retries_out);
 
-    /** Selection domain of @p bucket (per bucket, or the shard). */
-    unsigned
-    domainOf(unsigned bucket) const
-    {
-        return config_.scope == EvictionScope::Bucket ? bucket : 0;
-    }
-
     /** Admission-filter key of a key tag: the shadow-folded tag, so
      *  filter and directories agree on item identity; raw tags when
      *  no directories exist (fixed selectors). */
     std::uint64_t admitKey(std::uint64_t tag) const;
 
-    KvEntry *findChain(unsigned bucket, KvKey key) const;
-    KvEntry *findSlot(unsigned bucket, KvKey key,
-                      unsigned *way) const;
-    KvEntry *find(unsigned bucket, KvKey key, unsigned *way) const;
+    /** @p key's entry in @p bucket's chain, or nullptr. */
+    KvEntry *find(unsigned bucket, KvKey key) const;
 
     /** Current TTL clock reading (0 when no clock is wired). */
     std::uint64_t nowTick() const;
@@ -316,14 +294,6 @@ class KvShard
      *  instant of the stamp load (the clock is monotonic). */
     bool isExpired(const KvEntry *e) const;
 
-    KvEntry *bucketVictim(unsigned bucket, unsigned winner,
-                          const ShadowOutcome &winner_out,
-                          unsigned *way_out,
-                          adapt::VictimCase &case_out);
-    KvEntry *shardVictim(unsigned bucket, bool leader,
-                         unsigned winner,
-                         const ShadowOutcome &winner_out,
-                         adapt::VictimCase &case_out);
     void unlinkEntry(KvEntry *e);
 
     /** Apply every pending deferred touch FIFO (mutex held). Runs
@@ -353,21 +323,19 @@ class KvShard
     Rng rng_;
     unsigned bucketBits_;
     std::unique_ptr<Bucket[]> buckets_;
-    std::vector<std::vector<KvEntry *>> slots_; //!< Bucket scope
-    RecencyList recency_;                       //!< Shard scope
-    LfuLists lfu_;                              //!< Shard scope
+    RecencyList recency_;
+    LfuLists lfu_;
     /** Shared TinyLFU filter (declared before the directories that
      *  point at it). Present iff some component has admission. */
     std::unique_ptr<adapt::TinyLfuAdmission> admission_;
     std::unique_ptr<KvShadowDir> shadows_[kvNumComponents];
-    adapt::Selector selector_; //!< domains: buckets, or the shard
-    std::vector<unsigned> fallbackPtr_; //!< Bucket scope, per bucket
-    unsigned fallbackBucket_ = 0;       //!< Shard scope cursor
+    adapt::Selector selector_; //!< one domain: the shard
+    unsigned fallbackBucket_ = 0; //!< case-3 rotating cursor
     std::size_t size_ = 0;
     std::atomic<std::uint64_t> pinned_{0};
     KvShardStats stats_; //!< mutex-owned counters only
 
-    // Lock-free read-path state (Shard scope with lockFreeReads).
+    // Lock-free read-path state (lockFreeReads).
     std::unique_ptr<TouchRing> touches_;
     std::vector<Retired> limbo_; //!< mutex-owned retire list
     std::atomic<std::uint64_t> gets_{0};

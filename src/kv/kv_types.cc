@@ -47,53 +47,12 @@ KvConfig::validate() const
     adcache_assert(bucketWays >= 1);
     adcache_assert(leaderEvery >= 1);
     adcache_assert(shadowTagBits <= 40);
-    for (const KvComponentSpec &c : components) {
-        // Shard scope walks the intrusive shard-wide orders; CmsLfu
-        // has no such order and is a Bucket-scope (shadow-directory)
-        // component only.
-        if (scope == EvictionScope::Shard)
-            adcache_assert(c.evict == PolicyType::LRU ||
-                           c.evict == PolicyType::LFU);
-        else
-            adcache_assert(c.evict == PolicyType::LRU ||
-                           c.evict == PolicyType::LFU ||
-                           c.evict == PolicyType::CmsLfu);
-    }
-    if (scope == EvictionScope::Bucket) {
-        // The verification shape: Algorithm 1 needs shadows and a
-        // history on every set.
-        adcache_assert(leaderEvery == 1);
-        adcache_assert(selector == SelectorMode::Adaptive);
-    } else {
-        adcache_assert(capacity >= numShards);
-    }
-}
-
-std::uint64_t
-KvConfig::totalCapacity() const
-{
-    if (scope == EvictionScope::Bucket)
-        return std::uint64_t(numShards) * numBuckets * bucketWays;
-    return capacity;
-}
-
-KvConfig
-KvConfig::lockstep(unsigned num_buckets, unsigned ways,
-                   unsigned shadow_tag_bits, bool xor_fold)
-{
-    KvConfig c;
-    c.numShards = 1;
-    c.numBuckets = num_buckets;
-    c.bucketWays = ways;
-    c.leaderEvery = 1;
-    c.shadowTagBits = shadow_tag_bits;
-    c.xorFoldTags = xor_fold;
-    c.historyDepth = 0;
-    c.exactCounters = true;
-    c.scope = EvictionScope::Bucket;
-    c.selector = SelectorMode::Adaptive;
-    c.keyHash = KeyHashKind::Identity;
-    return c;
+    adcache_assert(capacity >= numShards);
+    // The shard walks its intrusive LRU and LFU orders; no other
+    // eviction order has one.
+    for (const KvComponentSpec &c : components)
+        adcache_assert(c.evict == PolicyType::LRU ||
+                       c.evict == PolicyType::LFU);
 }
 
 } // namespace adcache::kv

@@ -6,18 +6,13 @@
  * same way a hardware cache splits an address into (index, tag).
  *
  * The subsystem re-hosts the paper's Algorithm 1 on software
- * structures. Two eviction scopes are provided:
- *
- *  - EvictionScope::Shard (production): one capacity budget per
- *    shard, an intrusive recency (LRU) list and O(1) LFU frequency
- *    lists spanning the whole shard as component policies, and a
- *    sampled set of leader buckets whose partial-hash shadow
- *    directories train a per-shard m-bit differentiating-miss
- *    selector (the SBAR-style variant of Sec. 4.7).
- *  - EvictionScope::Bucket (verification): every bucket is a
- *    fixed-capacity set with its own shadow directories and history,
- *    i.e. Algorithm 1 transcribed verbatim; this configuration is
- *    lockstep-diffed against the oracle RefAdaptiveCache.
+ * structures with one capacity budget per shard: an intrusive
+ * recency (LRU) list and O(1) LFU frequency lists spanning the whole
+ * shard as component policies, and a sampled set of leader buckets
+ * whose partial-hash shadow directories train a per-shard m-bit
+ * differentiating-miss selector (the SBAR-style variant of
+ * Sec. 4.7). The naive model src/oracle/ref_kv_shard.hh checks this
+ * shape op by op (docs/KVCACHE.md "Verification").
  */
 
 #ifndef ADCACHE_KV_KV_TYPES_HH
@@ -53,13 +48,6 @@ mixKey(KvKey key)
     return z ^ (z >> 31);
 }
 
-/** Where the replacement capacity budget lives. */
-enum class EvictionScope
-{
-    Shard,  //!< shard-wide budget, shard-wide component policies
-    Bucket, //!< per-bucket ways, Algorithm 1 verbatim (verification)
-};
-
 /** Replacement selection mode of a shard. */
 enum class SelectorMode
 {
@@ -75,6 +63,9 @@ const char *selectorModeName(SelectorMode mode);
 constexpr unsigned kvComponentLru = 0;
 constexpr unsigned kvComponentLfu = 1;
 constexpr unsigned kvNumComponents = 2;
+
+/** Depth m of a shard's differentiating-miss window. */
+constexpr unsigned kvHistoryDepth = 64;
 
 /**
  * One competing component of a shard's selection engine: which pure
@@ -95,8 +86,7 @@ std::string kvComponentName(const KvComponentSpec &spec);
 /** Configuration of an AdaptiveKvCache. */
 struct KvConfig
 {
-    /** Total entry budget across all shards (EvictionScope::Shard).
-     *  In Bucket scope capacity is numShards*numBuckets*bucketWays. */
+    /** Total entry budget across all shards. */
     std::uint64_t capacity = 64 * 1024;
 
     /** Independent lock domains; power of two. */
@@ -105,35 +95,23 @@ struct KvConfig
     /** Hash buckets per shard; power of two. */
     unsigned numBuckets = 4096;
 
-    /** Bucket capacity in Bucket scope; in Shard scope the shadow-
-     *  directory associativity and the bounded policy-walk depth. */
+    /** Shadow-directory associativity and the bounded policy-walk
+     *  depth. */
     unsigned bucketWays = 8;
 
     /** Every Nth bucket is a leader carrying shadow directories
-     *  (1 = all buckets; required in Bucket scope). */
+     *  (1 = all buckets). */
     unsigned leaderEvery = 8;
 
     /** Stored shadow-tag width in bits (0 = full key tags). */
     unsigned shadowTagBits = 16;
 
-    /** Fold shadow tags by XOR of bit groups instead of low bits. */
-    bool xorFoldTags = false;
-
-    /** Differentiating-miss window depth m; 0 selects the scope
-     *  default (bucketWays per bucket, 64 per shard). */
-    unsigned historyDepth = 0;
-
-    /** Exact since-start counters instead of the m-bit window. */
-    bool exactCounters = false;
-
-    EvictionScope scope = EvictionScope::Shard;
     SelectorMode selector = SelectorMode::Adaptive;
     KeyHashKind keyHash = KeyHashKind::Mix;
 
     /**
-     * Serve get()/contains()/pin() hits without the shard mutex
-     * (Shard scope only; Bucket scope is the verification shape and
-     * stays fully locked). See docs/KVCACHE.md "Concurrency model".
+     * Serve get()/contains()/pin() hits without the shard mutex. See
+     * docs/KVCACHE.md "Concurrency model".
      */
     bool lockFreeReads = true;
 
@@ -143,11 +121,9 @@ struct KvConfig
     unsigned touchCapacity = 256;
 
     /**
-     * The two competing components. Shard scope restricts evict to
-     * LRU/LFU (the intrusive shard-wide orders); Bucket scope also
-     * admits CmsLfu, whose order lives entirely in the shadow
-     * directories' sketch. FixedLru/FixedLfu pin components[0] /
-     * components[1] respectively.
+     * The two competing components; evict is LRU or LFU (the
+     * intrusive shard-wide orders). FixedLru/FixedLfu pin
+     * components[0] / components[1] respectively.
      */
     KvComponentSpec components[kvNumComponents] = {
         {PolicyType::LRU, false}, {PolicyType::LFU, false}};
@@ -159,16 +135,6 @@ struct KvConfig
 
     /** panic() on structurally invalid combinations. */
     void validate() const;
-
-    /** Total entries the cache can hold. */
-    std::uint64_t totalCapacity() const;
-
-    /** The verification shape: one shard, identity hash, Bucket
-     *  scope, all-leader buckets, exact counters — the configuration
-     *  the oracle lockstep runs against (docs/KVCACHE.md). */
-    static KvConfig lockstep(unsigned num_buckets, unsigned ways,
-                             unsigned shadow_tag_bits = 0,
-                             bool xor_fold = false);
 };
 
 /** Outcome of one filling reference (fetch/put) to the cache. */

@@ -75,8 +75,8 @@ struct KvEntry
                 kPinnedBit) != 0;
     }
 
-    // Hash-bucket chain (EvictionScope::Shard lookup). chainNext is
-    // the readers' traversal link; chainPrev is mutex-only.
+    // Hash-bucket chain (lookup). chainNext is the readers'
+    // traversal link; chainPrev is mutex-only.
     KvEntry *chainPrev = nullptr;
     std::atomic<KvEntry *> chainNext{nullptr};
 

@@ -21,11 +21,12 @@ dirGeometry(unsigned num_buckets, unsigned ways)
 
 KvShadowDir::KvShadowDir(unsigned num_buckets, unsigned ways,
                          PolicyType policy, unsigned partial_bits,
-                         bool xor_fold, Rng *rng,
+                         Rng *rng,
                          const adapt::TinyLfuAdmission *admission)
     : geom_(dirGeometry(num_buckets, ways)),
       tagMask_(lowMask(64 - geom_.offsetBits() - geom_.indexBits())),
-      shadow_(geom_, policy, partial_bits, xor_fold, rng, admission)
+      shadow_(geom_, policy, partial_bits, /*xor_fold=*/false, rng,
+              admission)
 {
 }
 

@@ -31,14 +31,14 @@ class KvShadowDir
      * @param num_buckets  buckets covered (power of two).
      * @param ways         directory associativity per bucket.
      * @param policy       component policy simulated.
-     * @param partial_bits stored tag width (0 = full key tags).
-     * @param xor_fold     fold via XOR of bit groups, not low bits.
+     * @param partial_bits stored tag width (0 = full key tags),
+     *                     folded by keeping the low bits.
      * @param rng          shared generator (stochastic policies).
      * @param admission    optional TinyLFU filter (not owned); the
      *                     owning shard touch()es it per reference.
      */
     KvShadowDir(unsigned num_buckets, unsigned ways, PolicyType policy,
-                unsigned partial_bits, bool xor_fold, Rng *rng,
+                unsigned partial_bits, Rng *rng,
                 const adapt::TinyLfuAdmission *admission = nullptr);
 
     /** Simulate the component policy for one key reference. */

@@ -1,51 +1,49 @@
 /**
  * @file
- * Lockstep differential verification of the adaptive key-value cache
- * (src/kv) against the reference Algorithm 1 model.
+ * Lockstep verification of the adaptive key-value cache (src/kv)
+ * against its naive model, RefKvShard (oracle/ref_kv_shard.hh).
  *
- * The kv cache in its verification shape — one shard, Bucket eviction
- * scope, identity key hash, exact counters — is structurally the
- * paper's cache with keys in place of addresses: bucket == set, key
- * tag == block tag. Driving it with key = addr >> offsetBits while
- * the oracle consumes addr directly puts every per-access observable
- * in one-to-one correspondence: hit/miss, victim identity, whether a
- * replacement decision was made and which component won it, case-3
- * fallbacks, the per-set differentiating-miss counters, and (on
- * periodic sweeps) full residency and decision totals.
+ * A single-shard AdaptiveKvCache and a RefKvShard built from the same
+ * KvConfig run one op schedule side by side — the KvFuzzSchedule of
+ * the concurrency fuzzer, replayed on one thread. After every op it
+ * compares the full KvOutcome of a filling reference, the
+ * values and bools a call returned, contains() of the op's key, and
+ * the shard's size, pinned count, winner, per-component history
+ * weight and shadow misses, and selection flips. Every 64 ops, and
+ * after the last one, it also compares the resident key set and every
+ * per-shard KV row of the counter table.
+ *
+ * Each op stores or loads a value unique to its position, so a read
+ * that returns a stale value diverges. A fetch alternates between
+ * the facade's two filling surfaces: fetch() (its returned value is
+ * compared) and reference() (its KvOutcome is compared).
  */
 
 #ifndef ADCACHE_ORACLE_KV_LOCKSTEP_HH
 #define ADCACHE_ORACLE_KV_LOCKSTEP_HH
 
-#include <cstddef>
+#include <string>
 
-#include "kv/kv_types.hh"
-#include "oracle/differential.hh"
+#include "kv/kv_shard.hh"
+#include "oracle/kv_fuzzer.hh"
 
 namespace adcache
 {
 
-/** Shape of the kv-vs-oracle pair. */
-struct KvLockstepParams
-{
-    unsigned numBuckets = 16;
-    unsigned bucketWays = 4;
-    unsigned partialBits = 0; //!< shadow tag width (0 = full)
-    bool xorFold = false;
-    std::size_t sweepEvery = 256; //!< residency sweep period
-
-    /** Competing components (evict policy + admission flag); the
-     *  oracle runs the same pair, so CMS-LFU eviction and TinyLFU
-     *  admission are lockstep-verified through here too. */
-    kv::KvComponentSpec components[kv::kvNumComponents] = {
-        {PolicyType::LRU, false}, {PolicyType::LFU, false}};
-};
-
 /**
- * Single-shard Bucket-scope AdaptiveKvCache vs RefAdaptiveCache
- * running the configured components over the same shape.
+ * Replay @p sched (thread fields ignored) against a single-shard
+ * AdaptiveKvCache and a RefKvShard, both built from @p config. On a
+ * divergence, drop the ops after it and ddmin-shrink the rest with
+ * KvConcurrencyFuzzer::shrink.
+ * @param stats_out if non-null, receives the cache's counters after
+ *                  a run with no divergence.
+ * @return "" when the two sides agree, else a report naming the
+ *         config, the divergence (op, field, expected and actual),
+ *         the shrunk schedule's divergence and its toLiteral().
  */
-PairFactory makeKvAdaptivePair(const KvLockstepParams &params);
+std::string kvLockstepReport(const kv::KvConfig &config,
+                             const KvFuzzSchedule &sched,
+                             kv::KvShardStats *stats_out = nullptr);
 
 } // namespace adcache
 

@@ -1,9 +1,6 @@
 #include "util/stat_registry.hh"
 
-#include <cstdio>
-
 #include "util/logging.hh"
-#include "util/stats.hh"
 
 namespace adcache
 {
@@ -49,18 +46,6 @@ StatRegistry::text(const std::string &name, std::string v)
     StatEntry &e = slot(name);
     e.kind = StatEntry::Kind::Text;
     e.text = std::move(v);
-}
-
-void
-StatRegistry::histogram(const std::string &name, const Histogram &h)
-{
-    counter(name + ".underflow", h.underflow());
-    char buf[24];
-    for (unsigned i = 0; i < h.buckets(); ++i) {
-        std::snprintf(buf, sizeof(buf), ".bucket%02u", i);
-        counter(name + buf, h.bucketCount(i));
-    }
-    counter(name + ".overflow", h.overflow());
 }
 
 void

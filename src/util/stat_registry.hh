@@ -27,8 +27,6 @@
 namespace adcache
 {
 
-class Histogram;
-
 /** One named statistic. */
 struct StatEntry
 {
@@ -61,12 +59,6 @@ class StatRegistry
 
     /** Register (or overwrite) a textual annotation. */
     void text(const std::string &name, std::string v);
-
-    /**
-     * Flatten @p h into counters under @p name: "<name>.underflow",
-     * "<name>.bucket00".."<name>.bucketNN", "<name>.overflow".
-     */
-    void histogram(const std::string &name, const Histogram &h);
 
     /** Append every entry of @p other under "<prefix><name>". */
     void merge(const StatRegistry &other,

@@ -158,29 +158,4 @@ mpki(std::uint64_t misses, std::uint64_t instructions)
            static_cast<double>(instructions);
 }
 
-Histogram::Histogram(double lo, double hi, unsigned buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0)
-{
-    adcache_assert(hi > lo && buckets > 0);
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-        return;
-    }
-    if (x >= hi_) {
-        ++overflow_;
-        return;
-    }
-    const double frac = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<unsigned>(frac * counts_.size());
-    if (idx >= counts_.size())
-        idx = unsigned(counts_.size()) - 1;
-    ++counts_[idx];
-}
-
 } // namespace adcache

@@ -122,26 +122,6 @@ double mean(const std::vector<double> &xs);
 /** Misses-per-kilo-instruction. */
 double mpki(std::uint64_t misses, std::uint64_t instructions);
 
-/** A fixed-width histogram over [lo, hi) with overflow buckets. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, unsigned buckets);
-
-    void add(double x);
-
-    std::uint64_t bucketCount(unsigned i) const { return counts_.at(i); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    unsigned buckets() const { return unsigned(counts_.size()); }
-    std::uint64_t total() const { return total_; }
-
-  private:
-    double lo_, hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
-
 } // namespace adcache
 
 #endif // ADCACHE_UTIL_STATS_HH

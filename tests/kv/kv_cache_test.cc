@@ -34,7 +34,6 @@ smallConfig(SelectorMode selector, std::uint64_t capacity = 4)
     c.bucketWays = 4;
     c.leaderEvery = 1;
     c.shadowTagBits = 0;
-    c.scope = EvictionScope::Shard;
     c.selector = selector;
     c.keyHash = KeyHashKind::Identity;
     return c;
@@ -201,22 +200,6 @@ TEST(KvCacheTest, AdaptiveShardScopeRunsLeadersAndSelectors)
     EXPECT_EQ(cache.size(), 32u);
 }
 
-TEST(KvCacheTest, BucketScopeFillsAndEvictsPerBucket)
-{
-    // The verification shape: 4 buckets x 2 ways, identity hash.
-    AdaptiveKvCache cache(KvConfig::lockstep(4, 2));
-    // Keys 0, 4, 8 all land in bucket 0 (key & 3 == 0).
-    cache.put(0, "a");
-    cache.put(4, "b");
-    const KvOutcome out = cache.put(8, "c");
-    EXPECT_TRUE(out.evicted);
-    EXPECT_TRUE(out.replaced);
-    EXPECT_EQ(cache.size(), 2u);
-    // Other buckets are untouched.
-    cache.put(1, "d");
-    EXPECT_EQ(cache.size(), 3u);
-}
-
 TEST(KvCacheTest, ShardRoutingCoversAllShards)
 {
     KvConfig c = smallConfig(SelectorMode::FixedLru, 64);
@@ -262,7 +245,6 @@ mgetConfig(unsigned touch_capacity = 256)
     c.bucketWays = 4;
     c.leaderEvery = 1;
     c.shadowTagBits = 0;
-    c.scope = EvictionScope::Shard;
     c.selector = SelectorMode::FixedLru;
     c.keyHash = KeyHashKind::Mix;
     c.lockFreeReads = true;

@@ -39,7 +39,6 @@ concurrentConfig(unsigned shards)
     c.bucketWays = 4;
     c.leaderEvery = 4;
     c.shadowTagBits = 12;
-    c.scope = EvictionScope::Shard;
     c.selector = SelectorMode::Adaptive;
     c.keyHash = KeyHashKind::Mix;
     return c;
@@ -219,7 +218,6 @@ TEST(KvConcurrencyTest, ReadRetriesCountHitsAndValidatedMisses)
     c.capacity = 64;
     c.numShards = 1;
     c.numBuckets = 1;
-    c.scope = EvictionScope::Shard;
     c.selector = SelectorMode::FixedLru;
     c.keyHash = KeyHashKind::Identity;
     c.lockFreeReads = true;

@@ -48,7 +48,6 @@ fuzzConfig()
     c.bucketWays = 4;
     c.leaderEvery = 4;
     c.shadowTagBits = 12;
-    c.scope = kv::EvictionScope::Shard;
     c.selector = kv::SelectorMode::Adaptive;
     c.keyHash = kv::KeyHashKind::Mix;
     c.touchCapacity = 16;

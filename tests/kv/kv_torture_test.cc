@@ -47,7 +47,6 @@ tortureConfig(unsigned shards, std::uint64_t capacity)
     c.bucketWays = 4;
     c.leaderEvery = 4;
     c.shadowTagBits = 12;
-    c.scope = EvictionScope::Shard;
     c.selector = SelectorMode::Adaptive;
     c.keyHash = KeyHashKind::Mix;
     return c;

@@ -35,7 +35,6 @@ touchConfig(std::uint64_t capacity, unsigned touch_capacity)
     c.bucketWays = 4;
     c.leaderEvery = 1;
     c.shadowTagBits = 0;
-    c.scope = EvictionScope::Shard;
     c.selector = SelectorMode::FixedLru;
     c.keyHash = KeyHashKind::Identity;
     c.lockFreeReads = true;

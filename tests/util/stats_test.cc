@@ -166,22 +166,5 @@ TEST(Mpki, Computation)
     EXPECT_DOUBLE_EQ(mpki(5, 0), 0.0);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(5.5);
-    h.add(9.999);
-    h.add(10.0);
-    h.add(42.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(5), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.total(), 6u);
-}
-
 } // namespace
 } // namespace adcache
