@@ -57,9 +57,10 @@
  *                                   live-shaped registry and
  *                                   amortised at 1 Hz against
  *                                   kv-read-1t; also bounds the
- *                                   marginal Counter::inc the
- *                                   handle-style serving counters
- *                                   pay per op, and fails closed on
+ *                                   marginal Counter::inc and
+ *                                   histogram record the handle-
+ *                                   style serving metrics pay per
+ *                                   op, and fails closed on
  *                                   degenerate measurements
  *
  * Baselines live in bench/baselines/BENCH_hotpath.json and are only
@@ -79,6 +80,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -942,8 +944,9 @@ traceOverheadCheck(const std::vector<Measurement> &measured,
  * plane, handle families with populated thread shards) and demand it
  * stay under 1% of a core-second — exactly the throughput fraction a
  * kv-read-1t loop sharing that core would lose. The handle path
- * (transport/YCSB counters, off the kv read path but on the serving
- * one) is bounded separately: one attached Counter::inc must stay
+ * (transport counters, request and YCSB latency, off the kv read
+ * path but on the serving one) is bounded separately: one attached
+ * Counter::inc and one HistogramHandle::observe must each stay
  * within kCounterBudgetNs. Degenerate measurements — missing
  * kv-read-1t row, an exposition that lost the kv families, negative
  * costs — fail closed.
@@ -966,6 +969,7 @@ metricsOverheadCheck(const std::vector<Measurement> &measured)
 
     obs::MetricsRegistry reg;
     const double counter_ns = obs::measureCounterCostNs(reg);
+    const double observe_ns = obs::measureHistogramCostNs(reg);
     // The handle budget is a production-cost bound; sanitizer
     // instrumentation multiplies every atomic by an order of
     // magnitude, so under tsan/asan only the sign check applies (the
@@ -979,14 +983,17 @@ metricsOverheadCheck(const std::vector<Measurement> &measured)
     constexpr bool enforce_budget = true;
 #endif
     constexpr double kCounterBudgetNs = 25.0;
-    if (!(counter_ns >= 0.0) ||
-        (enforce_budget && counter_ns > kCounterBudgetNs)) {
-        std::fprintf(stderr,
-                     "perf_regress: metrics-overhead: Counter::inc "
-                     "%.3f ns exceeds the %.0f ns handle budget — "
-                     "failing closed\n",
-                     counter_ns, kCounterBudgetNs);
-        return 1;
+    for (const auto &[what, ns] : {std::pair{"Counter::inc", counter_ns},
+                                   std::pair{"HistogramHandle::observe",
+                                             observe_ns}}) {
+        if (!(ns >= 0.0) || (enforce_budget && ns > kCounterBudgetNs)) {
+            std::fprintf(stderr,
+                         "perf_regress: metrics-overhead: %s %.3f ns "
+                         "exceeds the %.0f ns handle budget — failing "
+                         "closed\n",
+                         what, ns, kCounterBudgetNs);
+            return 1;
+        }
     }
 
     // Shape the registry like a live kv_server --metrics-port: a
@@ -1052,11 +1059,11 @@ metricsOverheadCheck(const std::vector<Measurement> &measured)
     const double fraction = scrape_ns / 1e9;
     const double per_op_ns = fraction * ns_per_access;
     std::fprintf(stderr,
-                 "perf_regress: metrics-overhead: inc %.3f ns "
-                 "(budget %.0f ns); scrape+render %.0f ns / %zu B "
-                 "at 1 Hz = %.6f ns per kv-read-1t op (%.4f%% of "
-                 "%.2f ns/access, budget 1%%)\n",
-                 counter_ns, kCounterBudgetNs, scrape_ns,
+                 "perf_regress: metrics-overhead: inc %.3f ns, "
+                 "observe %.3f ns (budget %.0f ns each); scrape+render "
+                 "%.0f ns / %zu B at 1 Hz = %.6f ns per kv-read-1t op "
+                 "(%.4f%% of %.2f ns/access, budget 1%%)\n",
+                 counter_ns, observe_ns, kCounterBudgetNs, scrape_ns,
                  exposition_bytes, per_op_ns, 100.0 * fraction,
                  ns_per_access);
     if (!(fraction < 0.01)) {

@@ -15,8 +15,8 @@ namespace
 {
 
 /**
- * Times one facade operation (two clock reads) into the calling
- * thread's latency histogram; free when ADCACHE_LAT is off. Only the
+ * Times one facade operation (two clock reads) into its latency
+ * histogram; free when ADCACHE_LAT is off. Only the
  * public get/fetch/put are timed — the bare reference() path the
  * perf_regress matrix drives stays untouched.
  */

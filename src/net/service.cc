@@ -70,35 +70,6 @@ KvService::opCount(MsgKind kind) const
     return opCounts_[op].load(std::memory_order_seq_cst);
 }
 
-void
-KvService::recordLatency(std::uint64_t ns)
-{
-    latBuckets_[obs::histBucketOf(ns)].fetch_add(
-        1, std::memory_order_relaxed);
-    latCount_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t
-KvService::requestPercentileNs(double p) const
-{
-    const std::uint64_t count =
-        latCount_.load(std::memory_order_seq_cst);
-    if (count == 0)
-        return 0;
-    const auto rank = std::uint64_t(double(count) * p);
-    std::uint64_t cum = 0;
-    for (unsigned b = 0; b <= obs::kHistBuckets; ++b) {
-        cum += latBuckets_[b].load(std::memory_order_seq_cst);
-        if (cum > rank) {
-            if (b >= obs::kHistBuckets)
-                return std::uint64_t(1)
-                       << (obs::kHistHiBit + 1);
-            return std::uint64_t(1) << (obs::kHistLoBit + b);
-        }
-    }
-    return std::uint64_t(1) << (obs::kHistHiBit + 1);
-}
-
 Message
 KvService::handle(const Message &request)
 {
@@ -110,7 +81,7 @@ KvService::handle(const Message &request)
     Message response = handleInner(request);
 
     const std::uint64_t dur = obs::nowNs() - t0;
-    recordLatency(dur);
+    requestLatency_.record(dur);
     if (config_.slowRequestBudgetNs != 0 &&
         dur > config_.slowRequestBudgetNs) {
         char line[160];

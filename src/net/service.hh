@@ -154,15 +154,19 @@ class KvService
      */
     void registerMetrics(obs::MetricsRegistry &reg);
 
-    /** Request-latency percentile over all served requests (ns). */
-    std::uint64_t requestPercentileNs(double p) const;
+    /** Latency of every request served so far; safe while requests
+     *  run. */
+    obs::LatencySnapshot
+    requestLatency() const
+    {
+        return requestLatency_.snapshot();
+    }
 
   private:
     bool shardDead(kv::KvKey key) const;
     /** MGet: shard-grouped batch probe + read-through backfill. */
     Message handleMGet(const Message &request);
     Message handleInner(const Message &request);
-    void recordLatency(std::uint64_t ns);
 
     KvServiceConfig config_;
     kv::AdaptiveKvCache cache_;
@@ -175,12 +179,8 @@ class KvService
     static constexpr unsigned kOpSlots = 8;
     std::atomic<std::uint64_t> opCounts_[kOpSlots] = {};
 
-    /** Shared log-bucket request-latency histogram (same bounds as
-     *  obs::MetricsRegistry histograms). One relaxed RMW per
-     *  request — request work is microseconds, this is noise. */
-    std::atomic<std::uint64_t> latBuckets_[obs::kHistBuckets + 1] =
-        {};
-    std::atomic<std::uint64_t> latCount_{0};
+    /** handle() time of every request, recorded per thread. */
+    obs::LatencyHistogram requestLatency_;
 
     mutable std::mutex providersMtx_;
     std::vector<StatsProvider> providers_;

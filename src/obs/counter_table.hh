@@ -128,11 +128,11 @@
       TAG(OpStats, 54, "op_stats"), Global, ADCACHE_NET_OP("stats"))         \
     X(FORMULA(s.opCount(MsgKind::MGet)), V1("net.op.mget"),                  \
       TAG(OpMGet, 55, "op_mget"), Global, ADCACHE_NET_OP("mget"))            \
-    X(FORMULA(s.requestPercentileNs(0.50)), NO_V1,                           \
+    X(FORMULA(s.requestLatency().percentileNs(0.50)), NO_V1,                 \
       TAG(RequestP50Ns, 56, "request_p50_ns"), Global,                       \
       GAUGE("adcache_net_request_p50_ns",                                    \
             "Request latency median (bucket upper edge)"))                   \
-    X(FORMULA(s.requestPercentileNs(0.99)), NO_V1,                           \
+    X(FORMULA(s.requestLatency().percentileNs(0.99)), NO_V1,                 \
       TAG(RequestP99Ns, 57, "request_p99_ns"), Global,                       \
       GAUGE("adcache_net_request_p99_ns",                                    \
             "Request latency p99 (bucket upper edge)"))

@@ -1,21 +1,29 @@
 /**
  * @file
- * Log-bucketed latency histograms for the kv cache's public
- * operations. Each thread records into its own per-op histograms
- * (no synchronisation on the record path); a snapshot merges all
- * threads' histograms into one, so percentiles are over the whole
- * fleet. Recording is gated by obs::latencyEnabled() (ADCACHE_LAT)
- * independently of event tracing, because timing two clock reads per
- * op is a real cost the throughput bench must be able to decline.
+ * The one latency histogram: the kv facade's per-op timings,
+ * KvService's request latency, the YCSB driver and the
+ * MetricsRegistry's histogram families all record into it.
+ *
+ * Buckets are upper-inclusive: 0..8 ns exact, then each octave
+ * (2^t, 2^(t+1)] split into 8 equal sub-buckets up to
+ * 2^kLatencyTopBit ns (~69 s), then one overflow bucket. Every power
+ * of two is an edge, so the Prometheus `le` counts are exact sums of
+ * buckets, and an edge overestimates its samples by at most 12.5%.
+ *
+ * LatencyHistogram records into per-thread cells with relaxed loads
+ * and stores (no lock-prefixed RMW); snapshot() merges them while
+ * writers run into a LatencySnapshot, the plain value with exact
+ * count/sum/min/max, one merge and one nearest-rank percentile.
  */
 
 #ifndef ADCACHE_OBS_LATENCY_HH
 #define ADCACHE_OBS_LATENCY_HH
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <string>
-
-#include "util/stats.hh"
 
 namespace adcache
 {
@@ -24,6 +32,105 @@ class StatRegistry;
 
 namespace adcache::obs
 {
+
+/** Sub-buckets per octave, and the largest exactly-bucketed value. */
+inline constexpr unsigned kLatencySubBuckets = 8;
+/** The top finite bucket edge is 2^kLatencyTopBit ns. */
+inline constexpr unsigned kLatencyTopBit = 36;
+/** 0..8 exact, 8 per octave from (8, 16] to the top edge, overflow. */
+inline constexpr unsigned kLatencyBuckets =
+    kLatencySubBuckets + 1 + kLatencySubBuckets * (kLatencyTopBit - 3) + 1;
+
+/** Bucket of a sample: the one whose upper edge is the smallest edge
+ *  at or above @p ns. */
+unsigned latencyBucket(std::uint64_t ns);
+
+/** Upper (inclusive) edge of bucket @p b; the overflow bucket's is
+ *  UINT64_MAX. */
+std::uint64_t latencyBucketEdge(unsigned b);
+
+/** A latency distribution as plain values (see file comment). */
+class LatencySnapshot
+{
+  public:
+    std::uint64_t count() const { return count_; }
+    std::uint64_t sumNs() const { return sum_; }
+    /** Smallest / largest sample; assert count() > 0. */
+    std::uint64_t minNs() const;
+    std::uint64_t maxNs() const;
+    double meanNs() const;
+
+    /** Samples in bucket @p b. */
+    std::uint64_t bucket(unsigned b) const { return buckets_[b]; }
+
+    void merge(const LatencySnapshot &other);
+
+    /**
+     * Nearest rank: the upper edge of the bucket holding the
+     * ceil(p * count())-th smallest sample, capped at the exact
+     * maximum (so p = 1 is the maximum); p in (0, 1]. 0 when empty.
+     */
+    double percentileNs(double p) const;
+
+    /**
+     * Register count/mean/p50/p95/p99/p999/max under "<prefix>"
+     * into @p reg (no-op when count() == 0).
+     */
+    void registerInto(StatRegistry &reg,
+                      const std::string &prefix) const;
+
+  private:
+    friend class LatencyHistogram;
+    std::array<std::uint64_t, kLatencyBuckets> buckets_{};
+    std::uint64_t count_ = 0;
+    std::uint64_t sum_ = 0;
+    std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t max_ = 0;
+};
+
+/** Most threads alive at once that record into per-thread cells
+ *  (latency histograms and the MetricsRegistry's counters). */
+inline constexpr unsigned kMaxRecordingThreads = 1024;
+
+/**
+ * The calling thread's recording slot, below kMaxRecordingThreads.
+ * A thread takes the lowest free slot at its first call and hands it
+ * back when it exits; the next thread to take it carries on in the
+ * cells it filled.
+ */
+unsigned threadSlot();
+
+/** A live latency histogram shared by any number of recording threads
+ *  (see file comment). */
+class LatencyHistogram
+{
+  public:
+    LatencyHistogram() = default;
+    ~LatencyHistogram() { reset(); }
+
+    LatencyHistogram(const LatencyHistogram &) = delete;
+    LatencyHistogram &operator=(const LatencyHistogram &) = delete;
+
+    /** Count one sample into the calling thread's cell. */
+    void record(std::uint64_t ns);
+
+    /**
+     * Merge every thread's cell. Safe while other threads record: the
+     * count is the sum of the bucket counts read, and sum, min and
+     * max cover at least every sample counted.
+     */
+    LatencySnapshot snapshot() const;
+
+    /** Forget every sample. Only while no other thread records or
+     *  takes a snapshot. */
+    void reset();
+
+  private:
+    struct Cell;
+
+    /** Indexed by the recording thread's slot. */
+    std::atomic<Cell *> cells_[kMaxRecordingThreads] = {};
+};
 
 /** The kv facade operations with latency instrumentation. */
 enum class KvOp : unsigned
@@ -47,63 +154,16 @@ inline constexpr unsigned kNumKvOps = 5;
 const char *kvOpName(KvOp op);
 
 /**
- * One latency distribution: log buckets (12.5% quantile error)
- * plus exact count / sum / min / max. Mergeable across threads.
- */
-class LatencyHistogram
-{
-  public:
-    void
-    add(std::uint64_t ns)
-    {
-        buckets_.addValue(ns);
-        ++count_;
-        sum_ += ns;
-        min_ = count_ == 1 ? ns : (ns < min_ ? ns : min_);
-        max_ = ns > max_ ? ns : max_;
-    }
-
-    void merge(const LatencyHistogram &other);
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t sumNs() const { return sum_; }
-    /** Smallest / largest sample; assert count() > 0. */
-    std::uint64_t minNs() const;
-    std::uint64_t maxNs() const;
-    double meanNs() const;
-
-    /** Bucket-edge estimate of the p-quantile, p in (0, 1]. */
-    double percentileNs(double p) const;
-
-    /**
-     * Register count/mean/p50/p95/p99/p999/max under "<prefix>"
-     * into @p reg (no-op when count() == 0).
-     */
-    void registerInto(StatRegistry &reg,
-                      const std::string &prefix) const;
-
-  private:
-    LogBuckets buckets_;
-    std::uint64_t count_ = 0;
-    std::uint64_t sum_ = 0;
-    std::uint64_t min_ = 0;
-    std::uint64_t max_ = 0;
-};
-
-/**
- * Record one operation latency into the calling thread's histogram.
- * Call only inside an `if (latencyEnabled())` block.
+ * Record one operation latency into @p op's process-wide histogram.
+ * Call only inside an `if (latencyEnabled())` block: timing two
+ * clock reads per op is a cost ADCACHE_LAT lets a bench decline.
  */
 void recordLatency(KvOp op, std::uint64_t ns);
 
-/**
- * Merge every thread's histogram for @p op into one. Histograms are
- * plain (unsynchronised) accumulators, so call this only while the
- * recording threads are quiescent (e.g. after joining a round).
- */
-LatencyHistogram latencySnapshot(KvOp op);
+/** Snapshot of @p op's histogram; safe while threads record. */
+LatencySnapshot latencySnapshot(KvOp op);
 
-/** Forget all recorded latencies (all threads re-attach lazily). */
+/** Forget all recorded kv latencies. Only while no thread records. */
 void resetLatency();
 
 } // namespace adcache::obs

@@ -94,44 +94,9 @@ class MetricsShard
 
 } // namespace detail
 
-namespace
-{
-
-std::atomic<std::uint64_t> g_nextRegistryId{1};
-
-/**
- * Thread-local shard directory. Keyed by the registry's unique id —
- * never its address — so a test that destroys one registry and
- * creates another at the same address can't alias into stale cells.
- * Entries whose registry died (we hold the only remaining reference)
- * are swept on the next miss, so the directory stays bounded.
- */
-struct TlsShardEntry
-{
-    std::uint64_t id = 0;
-    std::shared_ptr<detail::MetricsShard> shard;
-};
-
-struct TlsShardCache
-{
-    std::uint64_t id = 0;
-    detail::MetricsShard *shard = nullptr;
-};
-
-thread_local TlsShardCache tl_lastShard;
-thread_local std::vector<TlsShardEntry> tl_shards;
-
-} // namespace
-
 class MetricsRegistryImpl
 {
   public:
-    MetricsRegistryImpl()
-        : id(g_nextRegistryId.fetch_add(1,
-                                        std::memory_order_relaxed))
-    {
-    }
-
     detail::Family *
     findOrCreate(MetricKind kind, const std::string &name,
                  const std::string &help,
@@ -156,30 +121,19 @@ class MetricsRegistryImpl
         return families.back().get();
     }
 
-    /** The calling thread's shard, creating + registering one on
-     *  first use. */
+    /** The calling thread's shard, created at its first use. Only
+     *  the holder of a thread slot publishes into it. */
     detail::MetricsShard &
     localShard()
     {
-        if (tl_lastShard.id == id && tl_lastShard.shard != nullptr)
-            return *tl_lastShard.shard;
-        for (auto &e : tl_shards)
-            if (e.id == id) {
-                tl_lastShard = {id, e.shard.get()};
-                return *e.shard;
-            }
-        // Miss: sweep entries whose registry is gone (TLS holds the
-        // only reference once the registry's shard list is freed).
-        std::erase_if(tl_shards, [](const TlsShardEntry &e) {
-            return e.shard.use_count() == 1;
-        });
-        auto shard = std::make_shared<detail::MetricsShard>();
-        {
+        const unsigned slot = threadSlot();
+        detail::MetricsShard *shard =
+            bySlot[slot].load(std::memory_order_relaxed);
+        if (shard == nullptr) {
             std::lock_guard<std::mutex> lock(mtx);
-            shards.push_back(shard);
+            shard = shards.emplace_back(new detail::MetricsShard).get();
+            bySlot[slot].store(shard, std::memory_order_relaxed);
         }
-        tl_shards.push_back({id, shard});
-        tl_lastShard = {id, shard.get()};
         return *shard;
     }
 
@@ -192,11 +146,12 @@ class MetricsRegistryImpl
         return total;
     }
 
-    const std::uint64_t id;
     mutable std::mutex mtx;
     std::vector<std::unique_ptr<detail::Family>> families;
     std::uint32_t nextSlot = 0;
-    std::vector<std::shared_ptr<detail::MetricsShard>> shards;
+    /** Every shard, for scrapes (under mtx), and each thread slot's. */
+    std::vector<std::unique_ptr<detail::MetricsShard>> shards;
+    std::atomic<detail::MetricsShard *> bySlot[kMaxRecordingThreads] = {};
     std::vector<std::function<void(MetricsSink &)>> collectors;
 };
 
@@ -237,22 +192,6 @@ Gauge::value() const
     return family_->gauge.load(std::memory_order_relaxed);
 }
 
-void
-HistogramHandle::observe(std::uint64_t ns)
-{
-    if (family_ == nullptr)
-        return;
-    detail::MetricsShard &shard = family_->owner->localShard();
-    const std::uint32_t base = family_->slot;
-    auto bump = [&](std::uint32_t slot, std::uint64_t n) {
-        std::atomic<std::uint64_t> &c = shard.cell(slot);
-        c.store(c.load(std::memory_order_relaxed) + n,
-                std::memory_order_relaxed);
-    };
-    bump(base + histBucketOf(ns), 1);
-    bump(base + kHistBuckets + 1, ns); // sum (ns)
-}
-
 const MetricSample *
 MetricsSnapshot::find(const std::string &name,
                       const std::string &key,
@@ -268,27 +207,6 @@ MetricsSnapshot::find(const std::string &name,
                 return &s;
     }
     return nullptr;
-}
-
-double
-MetricsSnapshot::percentileNs(const std::string &name,
-                              double p) const
-{
-    const MetricSample *s = find(name);
-    if (s == nullptr || s->kind != MetricKind::Histogram ||
-        s->count == 0)
-        return 0.0;
-    const double rank = std::max(1.0, std::ceil(p * s->count));
-    std::uint64_t cum = 0;
-    for (unsigned b = 0; b < s->buckets.size(); ++b) {
-        cum += s->buckets[b];
-        if (double(cum) >= rank) {
-            if (b >= kHistBuckets) // +Inf: report one past the top
-                return double(std::uint64_t(1) << (kHistHiBit + 1));
-            return double(std::uint64_t(1) << (kHistLoBit + b));
-        }
-    }
-    return double(std::uint64_t(1) << (kHistHiBit + 1));
 }
 
 void
@@ -346,11 +264,17 @@ MetricsRegistry::gauge(const std::string &name,
 HistogramHandle
 MetricsRegistry::histogram(const std::string &name,
                            const std::string &help,
-                           const MetricLabels &labels)
+                           const MetricLabels &labels,
+                           std::shared_ptr<LatencyHistogram> hist)
 {
-    return HistogramHandle(
-        impl_->findOrCreate(MetricKind::Histogram, name, help,
-                            labels, kHistBuckets + 2));
+    detail::Family *f = impl_->findOrCreate(MetricKind::Histogram, name,
+                                            help, labels, 0);
+    std::lock_guard<std::mutex> lock(impl_->mtx);
+    if (hist)
+        f->hist = std::move(hist);
+    else if (!f->hist)
+        f->hist = std::make_shared<LatencyHistogram>();
+    return HistogramHandle(f->hist);
 }
 
 void
@@ -381,14 +305,20 @@ MetricsRegistry::scrape() const
                 s.value = f->gauge.load(std::memory_order_relaxed);
                 break;
               case MetricKind::Histogram: {
-                s.buckets.resize(kHistBuckets + 1);
-                s.count = 0;
-                for (unsigned b = 0; b <= kHistBuckets; ++b) {
-                    s.buckets[b] = impl_->sumSlot(f->slot + b);
-                    s.count += s.buckets[b];
+                // Each le edge is a fine-bucket edge: fold the fine
+                // buckets up to it into its count.
+                const LatencySnapshot h = f->hist->snapshot();
+                s.buckets.assign(kHistBuckets + 1, 0);
+                unsigned le = 0;
+                for (unsigned b = 0; b < kLatencyBuckets; ++b) {
+                    while (le < kHistBuckets &&
+                           latencyBucketEdge(b) >
+                               std::uint64_t(1) << (kHistLoBit + le))
+                        ++le;
+                    s.buckets[le] += h.bucket(b);
                 }
-                s.sum = double(
-                    impl_->sumSlot(f->slot + kHistBuckets + 1));
+                s.count = h.count();
+                s.sum = double(h.sumNs());
                 break;
               }
             }
@@ -611,18 +541,15 @@ counterCostSink(std::uint64_t v)
     asm volatile("" : : "r"(v) : "memory");
 }
 
-} // namespace
-
+/**
+ * Marginal cost of @p op: the same paired-loop shape as
+ * measureGateCostNs. A serial dependency chain keeps both loops
+ * honest, and the difference is the cost of one op(i).
+ */
+template <typename Op>
 double
-measureCounterCostNs(MetricsRegistry &reg)
+marginalCostNs(Op op)
 {
-    // Same paired-loop shape as measureGateCostNs: a serial
-    // dependency chain keeps both loops honest, and the difference
-    // is the marginal cost of one attached Counter::inc.
-    Counter c = reg.counter("adcache_bench_inc_total",
-                            "counter-cost measurement scratch");
-    c.inc(); // fault in the TLS shard + chunk before timing
-
     constexpr int kIters = 1 << 18;
     constexpr int kReps = 7;
 
@@ -644,12 +571,35 @@ measureCounterCostNs(MetricsRegistry &reg)
         timeLoop([](std::uint64_t acc, int i) -> std::uint64_t {
             return acc * 2654435761u + unsigned(i);
         });
-    const double counted =
+    const double timed =
         timeLoop([&](std::uint64_t acc, int i) -> std::uint64_t {
-            c.inc();
+            op(i);
             return acc * 2654435761u + unsigned(i);
         });
-    return std::max(0.0, counted - plain);
+    return std::max(0.0, timed - plain);
+}
+
+} // namespace
+
+double
+measureCounterCostNs(MetricsRegistry &reg)
+{
+    Counter c = reg.counter("adcache_bench_inc_total",
+                            "counter-cost measurement scratch");
+    c.inc(); // claim the thread slot, shard and chunk before timing
+    return marginalCostNs([&](int) { c.inc(); });
+}
+
+double
+measureHistogramCostNs(MetricsRegistry &reg)
+{
+    HistogramHandle h = reg.histogram("adcache_bench_observe_ns",
+                                      "histogram-cost measurement scratch");
+    h.observe(1); // claim the thread slot + cell before timing
+    // Spread samples over ~1 us .. ~1 ms so bucket indexing runs
+    // for real.
+    return marginalCostNs(
+        [&](int i) { h.observe(std::uint64_t(1000 + (i & 1023) * 997)); });
 }
 
 } // namespace adcache::obs

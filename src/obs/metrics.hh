@@ -10,9 +10,11 @@
  *    that do not already keep the count — server transports, the
  *    YCSB driver. Increments go to a per-thread shard cell (relaxed
  *    atomics on thread-private cache lines, no RMW contention); a
- *    scrape merges every thread's shard. A default-constructed
- *    handle is inert (one predictable null check), so instrumented
- *    code needs no "is telemetry on" plumbing.
+ *    scrape merges every thread's shard. A histogram family owns a
+ *    LatencyHistogram, whose per-thread cells work the same way
+ *    (obs/latency.hh). A default-constructed handle is inert (one
+ *    predictable null check), so instrumented code needs no "is
+ *    telemetry on" plumbing.
  *
  *  - COLLECTORS (addCollector): for components that already maintain
  *    counters under their own synchronisation — KvShard/
@@ -42,6 +44,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/latency.hh"
+
 namespace adcache::obs
 {
 
@@ -60,21 +64,13 @@ enum class MetricKind
 /** Printable Prometheus type name ("counter", ...). */
 const char *metricKindName(MetricKind kind);
 
-/** Histogram bucket upper bounds: powers of two from 1 << kLoBit up
- *  to 1 << kHiBit nanoseconds (~1 us .. ~1 s), then +Inf. */
+/** The `le` edges a histogram family renders: powers of two from
+ *  1 << kHistLoBit to 1 << kHistHiBit nanoseconds (~1 us .. ~1 s),
+ *  then +Inf. Each is an edge of the LatencyHistogram bucket map, so
+ *  its cumulative count is exact. */
 inline constexpr unsigned kHistLoBit = 10;
 inline constexpr unsigned kHistHiBit = 30;
 inline constexpr unsigned kHistBuckets = kHistHiBit - kHistLoBit + 1;
-
-/** Bucket index of one observation (kHistBuckets = +Inf). */
-inline unsigned
-histBucketOf(std::uint64_t ns)
-{
-    for (unsigned b = 0; b < kHistBuckets; ++b)
-        if (ns <= (std::uint64_t(1) << (kHistLoBit + b)))
-            return b;
-    return kHistBuckets;
-}
 
 class MetricsRegistryImpl;
 
@@ -91,14 +87,12 @@ struct Family
     std::string name;
     std::string help;
     MetricLabels labels;
-    /** First slot in the per-thread shard; histograms own
-     *  kHistBuckets + 2 consecutive slots (buckets, +Inf, sum).
-     *  There is no stored count: a scrape derives it as the sum of
-     *  the merged buckets, which keeps sum(buckets) == count exact
-     *  even against concurrent observes. */
+    /** Counters: their slot in the per-thread shards. */
     std::uint32_t slot = 0;
     /** Gauges are last-writer-wins, not mergeable: one cell. */
     std::atomic<double> gauge{0.0};
+    /** Histograms own their per-thread cells. */
+    std::shared_ptr<LatencyHistogram> hist;
 };
 
 } // namespace detail
@@ -141,23 +135,36 @@ class Gauge
     detail::Family *family_ = nullptr;
 };
 
-/** Log-bucketed distribution handle (bounds above). */
+/** Latency distribution handle: records into the family's
+ *  LatencyHistogram, which a scrape reads live. */
 class HistogramHandle
 {
   public:
     HistogramHandle() = default;
 
-    void observe(std::uint64_t ns);
+    void
+    observe(std::uint64_t ns)
+    {
+        if (hist_)
+            hist_->record(ns);
+    }
 
-    bool attached() const { return family_ != nullptr; }
+    /** The family's distribution so far (empty when inert). */
+    LatencySnapshot
+    snapshot() const
+    {
+        return hist_ ? hist_->snapshot() : LatencySnapshot{};
+    }
+
+    bool attached() const { return hist_ != nullptr; }
 
   private:
     friend class MetricsRegistry;
-    explicit HistogramHandle(detail::Family *family)
-        : family_(family)
+    explicit HistogramHandle(std::shared_ptr<LatencyHistogram> hist)
+        : hist_(std::move(hist))
     {
     }
-    detail::Family *family_ = nullptr;
+    std::shared_ptr<LatencyHistogram> hist_;
 };
 
 /** One sampled metric in a scrape. */
@@ -169,8 +176,9 @@ struct MetricSample
     MetricLabels labels;
     /** Counter / gauge value. */
     double value = 0.0;
-    /** Histogram per-bucket counts (size kHistBuckets + 1, last =
-     *  +Inf) — NON-cumulative here; rendering accumulates. */
+    /** Histogram counts per `le` edge (size kHistBuckets + 1, last =
+     *  +Inf), summed from the fine buckets — NON-cumulative here;
+     *  rendering accumulates. */
     std::vector<std::uint64_t> buckets;
     std::uint64_t count = 0; //!< histogram observation count
     double sum = 0.0;        //!< histogram observation sum
@@ -187,10 +195,6 @@ struct MetricsSnapshot
     const MetricSample *find(const std::string &name,
                              const std::string &key = "",
                              const std::string &val = "") const;
-
-    /** p-quantile estimate (bucket upper edge) of histogram @p name;
-     *  0 when absent or empty. */
-    double percentileNs(const std::string &name, double p) const;
 };
 
 /** Scrape-time sink collectors append samples through. */
@@ -229,9 +233,12 @@ class MetricsRegistry
     Gauge gauge(const std::string &name,
                 const std::string &help = "",
                 const MetricLabels &labels = {});
-    HistogramHandle histogram(const std::string &name,
-                              const std::string &help = "",
-                              const MetricLabels &labels = {});
+    /** With @p hist given, the family exposes that histogram from
+     *  then on (a later run registering its own replaces it). */
+    HistogramHandle
+    histogram(const std::string &name, const std::string &help = "",
+              const MetricLabels &labels = {},
+              std::shared_ptr<LatencyHistogram> hist = {});
 
     /** Register a scrape-time collector (called in registration
      *  order under the scrape lock). */
@@ -246,7 +253,6 @@ class MetricsRegistry
   private:
     friend class Counter;
     friend class Gauge;
-    friend class HistogramHandle;
     std::unique_ptr<class MetricsRegistryImpl> impl_;
 };
 
@@ -272,6 +278,9 @@ void registerTraceMetrics(MetricsRegistry &reg);
  * gate.
  */
 double measureCounterCostNs(MetricsRegistry &reg);
+
+/** The same for one HistogramHandle::observe on an attached handle. */
+double measureHistogramCostNs(MetricsRegistry &reg);
 
 } // namespace adcache::obs
 

@@ -1,70 +1,11 @@
 #include "util/stats.hh"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 
 #include "util/logging.hh"
 
 namespace adcache
 {
-
-unsigned
-LogBuckets::bucketIndex(std::uint64_t v)
-{
-    if (v < kSubBuckets)
-        return unsigned(v);
-    // MSB position >= 3; each octave [2^t, 2^(t+1)) contributes 8
-    // sub-buckets selected by the 3 bits below the MSB.
-    const unsigned top = unsigned(std::bit_width(v)) - 1;
-    const unsigned sub = unsigned(v >> (top - 3)) & 7u;
-    return kSubBuckets + (top - 3) * kSubBuckets + sub;
-}
-
-std::uint64_t
-LogBuckets::bucketUpperEdge(unsigned idx)
-{
-    if (idx < kSubBuckets)
-        return idx;
-    const unsigned oct = (idx - kSubBuckets) / kSubBuckets + 3;
-    const unsigned sub = (idx - kSubBuckets) % kSubBuckets;
-    return ((std::uint64_t(kSubBuckets + sub + 1)) << (oct - 3)) - 1;
-}
-
-void
-LogBuckets::addValue(std::uint64_t v)
-{
-    const unsigned idx = bucketIndex(v);
-    if (idx >= counts_.size())
-        counts_.resize(idx + 1, 0);
-    ++counts_[idx];
-    ++total_;
-}
-
-void
-LogBuckets::merge(const LogBuckets &other)
-{
-    if (other.counts_.size() > counts_.size())
-        counts_.resize(other.counts_.size(), 0);
-    for (std::size_t i = 0; i < other.counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-    total_ += other.total_;
-}
-
-double
-LogBuckets::percentile(double p) const
-{
-    adcache_assert(total_ > 0 && p > 0.0 && p <= 1.0);
-    const auto rank = std::max<std::uint64_t>(
-        1, std::uint64_t(std::ceil(p * double(total_))));
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        cum += counts_[i];
-        if (cum >= rank)
-            return double(bucketUpperEdge(unsigned(i)));
-    }
-    return double(bucketUpperEdge(unsigned(counts_.size()) - 1));
-}
 
 void
 RunningStat::add(double x)
@@ -77,7 +18,6 @@ RunningStat::add(double x)
     }
     ++count_;
     sum_ += x;
-    buckets_.add(x);
 }
 
 void
@@ -94,14 +34,6 @@ RunningStat::merge(const RunningStat &other)
     }
     count_ += other.count_;
     sum_ += other.sum_;
-    buckets_.merge(other.buckets_);
-}
-
-double
-RunningStat::percentile(double p) const
-{
-    adcache_assert(count_ > 0);
-    return buckets_.percentile(p);
 }
 
 double

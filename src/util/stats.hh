@@ -16,58 +16,9 @@ namespace adcache
 {
 
 /**
- * Mergeable log-spaced bucket counts over non-negative samples.
- *
- * Values 0..7 get exact buckets; above that each octave is split
- * into 8 sub-buckets, so any quantile estimate is within 12.5% of
- * the true sample. The bucket array is lazily grown, so an untouched
- * instance costs one empty vector. Used both for RunningStat
- * percentiles and for obs latency histograms.
- */
-class LogBuckets
-{
-  public:
-    /** Sub-buckets per octave (also the count of exact buckets). */
-    static constexpr unsigned kSubBuckets = 8;
-
-    /** Count one sample (negative values land in bucket 0). */
-    void add(double x) { addValue(toValue(x)); }
-
-    /** Count one integral sample. */
-    void addValue(std::uint64_t v);
-
-    /** Element-wise sum with @p other. */
-    void merge(const LogBuckets &other);
-
-    std::uint64_t total() const { return total_; }
-    bool empty() const { return total_ == 0; }
-
-    /**
-     * Upper edge of the bucket holding the p-quantile sample, for
-     * p in (0, 1]; asserts at least one sample was added.
-     */
-    double percentile(double p) const;
-
-    /** Map a sample to its bucket index (exposed for tests). */
-    static unsigned bucketIndex(std::uint64_t v);
-
-    /** Largest value stored in bucket @p idx. */
-    static std::uint64_t bucketUpperEdge(unsigned idx);
-
-  private:
-    static std::uint64_t
-    toValue(double x)
-    {
-        return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x);
-    }
-
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-};
-
-/**
- * Running mean / min / max / count over double samples, with
- * log-bucket percentile estimates, mergeable across threads.
+ * Running mean / min / max / count over double samples, mergeable
+ * across threads. (Latency distributions with percentiles are
+ * obs::LatencyHistogram.)
  */
 class RunningStat
 {
@@ -89,19 +40,11 @@ class RunningStat
     /** Largest sample; asserts that at least one sample was added. */
     double max() const;
 
-    /**
-     * Log-bucket estimate of the p-quantile (p in (0, 1], e.g. 0.95)
-     * — within 12.5% for non-negative samples; negative samples all
-     * count toward the lowest bucket. Asserts count() > 0.
-     */
-    double percentile(double p) const;
-
   private:
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-    LogBuckets buckets_;
 };
 
 /**

@@ -135,7 +135,8 @@ class SocketYcsbConnection final : public Connection
 /** Everything one client thread accumulates; merged after join. */
 struct ClientState
 {
-    std::array<OpClassResult, kNumOpClasses> classes{};
+    std::array<std::uint64_t, kNumOpClasses> ops{};
+    std::array<std::uint64_t, kNumOpClasses> failures{};
     std::uint64_t errors = 0;
     std::uint64_t validationFailures = 0;
     std::uint64_t loadOps = 0;
@@ -226,15 +227,9 @@ YcsbResult::opsPerSec() const
 double
 YcsbResult::readP99Ns() const
 {
-    const OpClassResult &read = of(OpClass::Read);
-    if (read.latency.count() > 0)
-        return read.latency.percentileNs(0.99);
-    const OpClassResult &mget = of(OpClass::MGet);
-    if (mget.latency.count() > 0)
-        return mget.latency.percentileNs(0.99);
-    const OpClassResult &scan = of(OpClass::Scan);
-    if (scan.latency.count() > 0)
-        return scan.latency.percentileNs(0.99);
+    for (const OpClass c : {OpClass::Read, OpClass::MGet, OpClass::Scan})
+        if (of(c).latency.count() > 0)
+            return of(c).latency.percentileNs(0.99);
     return 0;
 }
 
@@ -299,12 +294,14 @@ YcsbDriver::run()
 
     // Live-metrics handles (inert when no registry is wired). Each
     // client thread increments through its own per-thread shard, so
-    // sharing the handles across the fleet costs nothing.
+    // sharing the handles across the fleet costs nothing; the same
+    // holds for the latency histograms' per-thread cells.
     struct OpHandles
     {
         obs::Counter ops;
         obs::Counter failures;
-        obs::HistogramHandle latency;
+        std::shared_ptr<obs::LatencyHistogram> latency =
+            std::make_shared<obs::LatencyHistogram>();
     };
     obs::Counter loadOpsCounter;
     std::array<OpHandles, kNumOpClasses> handles{};
@@ -319,8 +316,9 @@ YcsbDriver::run()
             handles[c].failures = config_.metrics->counter(
                 "ycsb_failures_total",
                 "RUN-phase ops answered NotFound/Error", labels);
-            handles[c].latency = config_.metrics->histogram(
-                "ycsb_op_latency_ns", "Per-op latency", labels);
+            config_.metrics->histogram("ycsb_op_latency_ns",
+                                       "Per-op latency", labels,
+                                       handles[c].latency);
         }
     }
 
@@ -417,34 +415,21 @@ YcsbDriver::run()
                 return stream.keyAt(stream.nextRank());
             };
 
-            const auto timeInto = [&](OpClass c,
-                                      std::uint64_t ns,
-                                      bool ok) {
-                OpClassResult &r = st.classes[unsigned(c)];
-                ++r.ops;
-                if (!ok)
-                    ++r.failures;
-                r.latency.add(ns);
-                OpHandles &h = handles[unsigned(c)];
-                h.ops.inc();
-                if (!ok)
-                    h.failures.inc();
-                h.latency.observe(ns);
-            };
-
-            // Batched variant: the whole batch is one latency
-            // sample, ops/failures count per key.
+            // One latency sample per call; a batch's ops and failures
+            // count per key.
             const auto timeBatch = [&](OpClass c, std::uint64_t ns,
                                        std::uint64_t ops,
                                        std::uint64_t failures) {
-                OpClassResult &r = st.classes[unsigned(c)];
-                r.ops += ops;
-                r.failures += failures;
-                r.latency.add(ns);
+                st.ops[unsigned(c)] += ops;
+                st.failures[unsigned(c)] += failures;
                 OpHandles &h = handles[unsigned(c)];
                 h.ops.inc(ops);
                 h.failures.inc(failures);
-                h.latency.observe(ns);
+                h.latency->record(ns);
+            };
+            const auto timeInto = [&](OpClass c, std::uint64_t ns,
+                                      bool ok) {
+                timeBatch(c, ns, 1, ok ? 0 : 1);
             };
 
             const auto checkValue =
@@ -627,11 +612,12 @@ YcsbDriver::run()
         result.errors += st.errors;
         result.validationFailures += st.validationFailures;
         for (unsigned c = 0; c < kNumOpClasses; ++c) {
-            result.classes[c].ops += st.classes[c].ops;
-            result.classes[c].failures += st.classes[c].failures;
-            result.classes[c].latency.merge(st.classes[c].latency);
+            result.classes[c].ops += st.ops[c];
+            result.classes[c].failures += st.failures[c];
         }
     }
+    for (unsigned c = 0; c < kNumOpClasses; ++c)
+        result.classes[c].latency = handles[c].latency->snapshot();
     return result;
 }
 

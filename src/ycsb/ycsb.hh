@@ -18,10 +18,9 @@
  * (KeyStreamSpec::forClient with disjoint = true) and PUTs every
  * record it owns. The RUN phase issues each client's op mix from a
  * seeded per-client KeyStream (same key population across clients —
- * the rank-to-key mapping is seed-independent), timing every op into
- * per-client, per-op-class obs::LatencyHistogram instances that merge
- * into the result after the clients join, so the reported
- * p50/p95/p99/p999 are fleet-wide.
+ * the rank-to-key mapping is seed-independent), timing every op once
+ * into per-op-class obs::LatencyHistogram instances that all clients
+ * share, so the reported p50/p95/p99/p999 are fleet-wide.
  *
  * Scenario injection (docs/SERVING.md): at a configurable fraction of
  * the run each client flips into the scenario regime — a hot-key
@@ -207,7 +206,8 @@ struct YcsbConfig
      * client thread feeds them as it runs (the registry's per-thread
      * shards make that contention-free), so a concurrent scrape
      * watches the run live and the final scrape matches the
-     * YcsbResult totals.
+     * YcsbResult totals. ycsb_op_latency_ns{op=} exposes the run's
+     * own per-class histograms (a later run replaces them).
      */
     obs::MetricsRegistry *metrics = nullptr;
 
@@ -221,7 +221,7 @@ struct OpClassResult
     std::uint64_t ops = 0;
     /** NotFound / refused ops (expected under scenarios). */
     std::uint64_t failures = 0;
-    obs::LatencyHistogram latency;
+    obs::LatencySnapshot latency;
 };
 
 /** Outcome of one YCSB run. */

@@ -78,66 +78,6 @@ TEST(RunningStat, MergeEmptySideIsIdentityForMinMax)
     EXPECT_DOUBLE_EQ(target.max(), 7.0);
 }
 
-TEST(RunningStat, PercentileEstimatesWithinBucketError)
-{
-    RunningStat s;
-    for (int i = 1; i <= 1'000; ++i)
-        s.add(double(i));
-    const double p50 = s.percentile(0.50);
-    EXPECT_GE(p50, 500.0);
-    EXPECT_LE(p50, 500.0 * 1.125);
-    const double p95 = s.percentile(0.95);
-    EXPECT_GE(p95, 950.0);
-    EXPECT_LE(p95, 950.0 * 1.125);
-    // Percentiles survive a merge (buckets are mergeable).
-    RunningStat other;
-    other.add(2'000.0);
-    s.merge(other);
-    EXPECT_GE(s.percentile(1.0), 2'000.0);
-}
-
-TEST(LogBuckets, SmallValuesGetExactBuckets)
-{
-    for (std::uint64_t v = 0; v < 8; ++v) {
-        EXPECT_EQ(LogBuckets::bucketIndex(v), unsigned(v));
-        EXPECT_EQ(LogBuckets::bucketUpperEdge(unsigned(v)), v);
-    }
-}
-
-TEST(LogBuckets, OctavesSplitIntoSubBuckets)
-{
-    // Every value lands in a bucket whose upper edge is >= the value
-    // and within 12.5% of it.
-    for (std::uint64_t v = 8; v < 100'000; v = v * 9 / 8 + 1) {
-        const unsigned idx = LogBuckets::bucketIndex(v);
-        const std::uint64_t edge = LogBuckets::bucketUpperEdge(idx);
-        EXPECT_GE(edge, v) << "v=" << v;
-        EXPECT_LE(double(edge), double(v) * 1.125) << "v=" << v;
-        // Bucket indexing is consistent: the edge maps to itself.
-        EXPECT_EQ(LogBuckets::bucketIndex(edge), idx) << "v=" << v;
-    }
-}
-
-TEST(LogBuckets, NegativeSamplesClampToBucketZero)
-{
-    LogBuckets b;
-    b.add(-5.0);
-    b.add(0.0);
-    EXPECT_EQ(b.total(), 2u);
-    EXPECT_DOUBLE_EQ(b.percentile(1.0), 0.0);
-}
-
-TEST(LogBuckets, MergeSumsCounts)
-{
-    LogBuckets a, b;
-    a.addValue(3);
-    b.addValue(1'000);
-    a.merge(b);
-    EXPECT_EQ(a.total(), 2u);
-    EXPECT_DOUBLE_EQ(a.percentile(0.5), 3.0);
-    EXPECT_GE(a.percentile(1.0), 1'000.0);
-}
-
 TEST(Percent, Delta)
 {
     EXPECT_DOUBLE_EQ(percentDelta(10.0, 12.0), 20.0);
