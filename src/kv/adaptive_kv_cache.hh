@@ -14,8 +14,9 @@
  * this). With KvConfig::lockFreeReads (the default),
  * get/contains/pin/unpin serve their common cases without any mutex
  * at all: an epoch-guarded optimistic probe validated by per-bucket
- * seqlocks, with LRU/LFU promotion deferred into a bounded ring the
- * mutating operations drain (docs/KVCACHE.md "Concurrency model").
+ * seqlocks, with LRU/LFU promotion deferred into a per-entry access
+ * mark the mutating operations fold (docs/KVCACHE.md "Concurrency
+ * model").
  * Stats aggregate through StatRegistry so kv experiments flow
  * through the same report pipeline as the simulator benches.
  */

@@ -16,7 +16,9 @@
  *   2. policy   — the winner component's own eviction order over the
  *      real contents, walked at most bucketWays deep to skip pinned
  *      entries (the software analog of the associativity-bounded
- *      search);
+ *      search); a candidate carrying a lock-free hit's access mark
+ *      is folded into both orders and the walk restarts (second
+ *      chance);
  *   3. fallback — pins defeated both searches (the aliasing case of
  *      Sec. 3.1): a rotating cursor picks an arbitrary unpinned
  *      entry; if everything is pinned the insertion is rejected.
@@ -30,7 +32,7 @@
  * read-only surface — tryProbe / containsRelaxed / trySetPinned —
  * may additionally run WITHOUT the mutex from any thread holding an
  * EpochGuard; see docs/KVCACHE.md "Concurrency model" for the
- * protocol (per-bucket seqlock validation, deferred touches,
+ * protocol (per-bucket seqlock validation, access marks,
  * epoch-based reclamation).
  */
 
@@ -104,7 +106,6 @@ struct KvShardConfig
     unsigned shardIndex = 0; //!< position in the owning cache
     std::uint64_t rngSeed = 1;
     bool lockFreeReads = true;
-    unsigned touchCapacity = 256; //!< deferred-touch ring size
 
     /** TTL clock (logical ticks), owned by the facade and shared by
      *  every shard; null = entries never expire regardless of their
@@ -165,30 +166,21 @@ class KvShard
     /** What one optimistic (mutex-free) probe concluded. */
     enum class ProbeResult
     {
-        Hit,            //!< value copied out, touch deferred
-        Miss,           //!< validated miss
-        NeedTouchDrain, //!< hit copied out, but the ring was full:
-                        //!< take the mutex and call touchSlow()
-        NeedSlow,       //!< conflicts exhausted the retry budget:
-                        //!< take the mutex and call probe()
+        Hit,      //!< value copied out, entry's access mark set
+        Miss,     //!< validated miss
+        NeedSlow, //!< conflicts exhausted the retry budget: take
+                  //!< the mutex and call probe()
     };
 
     /**
      * Lock-free probe attempt. Caller must hold an engaged
      * EpochGuard and must NOT hold the shard mutex. Only valid when
      * lockFreeEnabled(). Hits and validated misses are fully
-     * accounted here; the two Need* results defer to the locked
-     * calls named above.
+     * accounted here; NeedSlow defers to probe().
      */
     ProbeResult tryProbe(KvKey key, std::uint64_t h,
                          std::string *value_out,
                          unsigned *retries_out);
-
-    /**
-     * Complete a tryProbe() == NeedTouchDrain hit: drain the ring
-     * and apply this hit's promotion eagerly. Requires the mutex.
-     */
-    void touchSlow(KvKey key, std::uint64_t h);
 
     /**
      * Lock-free membership attempt under an engaged EpochGuard:
@@ -296,13 +288,10 @@ class KvShard
 
     void unlinkEntry(KvEntry *e);
 
-    /** Apply every pending deferred touch FIFO (mutex held). Runs
-     *  at the head of each mutating operation, so single-threaded
-     *  execution is indistinguishable from eager promotion. */
-    void drainTouches();
-
-    /** Promote @p e in both component orders (mutex held). */
-    void promote(KvEntry *e);
+    /** Move @p e to the LRU front and @p lfu_steps LFU classes up
+     *  (mutex held): a locked hit takes 1 + its folded mark, the
+     *  eviction walk's fold takes 1. */
+    void promote(KvEntry *e, unsigned lfu_steps);
 
     /** Writer-side seqlock brackets (mutex held). */
     void beginBucketChange(unsigned bucket);
@@ -336,7 +325,6 @@ class KvShard
     KvShardStats stats_; //!< mutex-owned counters only
 
     // Lock-free read-path state (lockFreeReads).
-    std::unique_ptr<TouchRing> touches_;
     std::vector<Retired> limbo_; //!< mutex-owned retire list
     std::atomic<std::uint64_t> gets_{0};
     std::atomic<std::uint64_t> getHits_{0};

@@ -110,15 +110,14 @@ struct KvConfig
     KeyHashKind keyHash = KeyHashKind::Mix;
 
     /**
-     * Serve get()/contains()/pin() hits without the shard mutex. See
-     * docs/KVCACHE.md "Concurrency model".
+     * Serve get()/contains()/pin() hits without the shard mutex. A
+     * lock-free get hit sets the entry's access mark instead of
+     * promoting it, so LRU becomes second chance (CLOCK) and LFU
+     * counts at most one such hit per fold; false promotes every
+     * read exactly, under the mutex. See docs/KVCACHE.md
+     * "Concurrency model".
      */
     bool lockFreeReads = true;
-
-    /** Capacity of each shard's deferred-touch ring (rounded up to
-     *  a power of two, minimum 2). This is the LRU/LFU staleness
-     *  bound of the lock-free read path. */
-    unsigned touchCapacity = 256;
 
     /**
      * The two competing components; evict is LRU or LFU (the

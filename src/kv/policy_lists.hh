@@ -19,9 +19,9 @@
  *
  * Concurrency split (docs/KVCACHE.md "Concurrency model"): the
  * fields lock-free readers may touch are atomic — the forward chain
- * link, the value pointer, and the pin word. key/tag/bucket are
- * immutable once the entry is published into its bucket chain, and
- * every other link is owned by the shard mutex.
+ * link, the value pointer, the pin word and the access mark.
+ * key/tag/bucket are immutable once the entry is published into its
+ * bucket chain, and every other link is owned by the shard mutex.
  */
 
 #ifndef ADCACHE_KV_POLICY_LISTS_HH
@@ -73,6 +73,36 @@ struct KvEntry
     {
         return (pinState.load(std::memory_order_seq_cst) &
                 kPinnedBit) != 0;
+    }
+
+    /**
+     * CLOCK-style reference bit: 1 = a lock-free hit since the last
+     * fold. Readers only ever store 1 and the shard mutex only ever
+     * stores 0, each only when the byte differs, so a hot entry's
+     * line stays shared between readers. Two readers may both store
+     * 1 (harmless); a reader's store racing a fold may be lost, or
+     * may survive into the next fold. Either way the mark is a
+     * replacement hint that orders nothing, hence relaxed.
+     */
+    std::atomic<std::uint8_t> accessMark{0};
+
+    /** Record a lock-free hit (any thread, under an EpochGuard). */
+    void
+    mark()
+    {
+        if (accessMark.load(std::memory_order_relaxed) == 0)
+            accessMark.store(1, std::memory_order_relaxed);
+    }
+
+    /** Clear the mark (shard mutex held). @return whether it was
+     *  set. */
+    bool
+    takeMark()
+    {
+        if (accessMark.load(std::memory_order_relaxed) == 0)
+            return false;
+        accessMark.store(0, std::memory_order_relaxed);
+        return true;
     }
 
     // Hash-bucket chain (lookup). chainNext is the readers'

@@ -3,8 +3,6 @@
 #include <mutex>
 #include <vector>
 
-#include "util/bits.hh"
-
 namespace adcache::kv
 {
 
@@ -84,42 +82,6 @@ EpochDomain::tryAdvance()
     return epoch_.compare_exchange_strong(
         cur, cur + 1, std::memory_order_seq_cst,
         std::memory_order_seq_cst);
-}
-
-TouchRing::TouchRing(unsigned capacity)
-{
-    unsigned cap = 2;
-    while (cap < capacity && cap < (1u << 20))
-        cap <<= 1;
-    mask_ = cap - 1;
-    cells_ = std::make_unique<Cell[]>(cap);
-    for (unsigned i = 0; i < cap; ++i)
-        cells_[i].seq.store(i, std::memory_order_relaxed);
-}
-
-bool
-TouchRing::tryPush(KvKey key, std::uint64_t hash)
-{
-    std::uint64_t pos = head_.load(std::memory_order_relaxed);
-    for (;;) {
-        Cell &c = cells_[pos & mask_];
-        const std::uint64_t seq =
-            c.seq.load(std::memory_order_acquire);
-        const std::int64_t dif = std::int64_t(seq - pos);
-        if (dif == 0) {
-            if (head_.compare_exchange_weak(
-                    pos, pos + 1, std::memory_order_relaxed)) {
-                c.touch.key = key;
-                c.touch.hash = hash;
-                c.seq.store(pos + 1, std::memory_order_release);
-                return true;
-            }
-        } else if (dif < 0) {
-            return false; // the slot is still awaiting the consumer
-        } else {
-            pos = head_.load(std::memory_order_relaxed);
-        }
-    }
 }
 
 } // namespace adcache::kv

@@ -14,16 +14,17 @@
  *    with the current epoch (gated advance), so a single load of
  *    the global epoch bounds what any active reader may reference.
  *
- *  - TouchRing: a bounded multi-producer single-consumer queue of
- *    deferred LRU/LFU touches. Lock-free readers record hits here
- *    instead of mutating the intrusive component lists; the shard
- *    drains the ring FIFO under its mutex at the head of every
- *    mutating operation. Capacity bounds the rank staleness: an
- *    entry touched K accesses ago is never ranked older than
- *    K + capacity positions (tests/kv/kv_touch_test.cc).
+ *  - Access marks (KvEntry::accessMark): a lock-free hit records
+ *    itself by storing 1 into the entry's one-byte mark when it
+ *    reads 0 — a relaxed load and a relaxed store, no
+ *    read-modify-write. The shard folds marks into its LRU/LFU
+ *    orders under the mutex (KvShard::promote and the case-2
+ *    eviction walk), CLOCK style.
  *
  * Memory-order discipline: every atomic the probe path and the
- * reclamation protocol share uses seq_cst. The loads are free on
+ * reclamation protocol share uses seq_cst. The access mark is the
+ * one exception: it orders nothing (a lost or late mark only shifts
+ * a replacement decision), so both sides touch it relaxed. The loads are free on
  * x86/ARM-acquire hardware and the stores sit on rare writer paths;
  * in exchange the correctness argument is a single total order (the
  * unlink store precedes the epoch load that tags the retirement,
@@ -37,9 +38,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-
-#include "kv/kv_types.hh"
 
 namespace adcache::kv
 {
@@ -140,77 +138,6 @@ class EpochGuard
   private:
     int slot_;
     std::uint64_t epoch_ = 0;
-};
-
-/** One deferred touch: a key and its full hash (so the drain can
- *  re-locate the entry without re-hashing). */
-struct DeferredTouch
-{
-    KvKey key = 0;
-    std::uint64_t hash = 0;
-};
-
-/**
- * Bounded MPSC ring of deferred touches (Vyukov bounded-queue cell
- * sequencing). Producers (lock-free readers) tryPush concurrently;
- * the single consumer drains under the shard mutex. A full ring
- * makes the reader fall into the mutex slow path, which drains and
- * applies the touch eagerly — so capacity is exactly the staleness
- * bound, never a correctness concern.
- */
-class TouchRing
-{
-  public:
-    /** @p capacity is rounded up to a power of two, minimum 2. */
-    explicit TouchRing(unsigned capacity);
-
-    TouchRing(const TouchRing &) = delete;
-    TouchRing &operator=(const TouchRing &) = delete;
-
-    /** @return false iff the ring is full (caller goes slow). */
-    bool tryPush(KvKey key, std::uint64_t hash);
-
-    /**
-     * Pop every published record FIFO into @p fn(key, hash). Single
-     * consumer: callers must hold the owning shard's mutex.
-     * @return the number of records applied.
-     */
-    template <typename Fn>
-    std::size_t
-    drain(Fn &&fn)
-    {
-        std::size_t n = 0;
-        for (;;) {
-            Cell &c = cells_[tail_ & mask_];
-            // A producer publishes by bumping the cell sequence to
-            // pos + 1; stopping at the first unpublished cell keeps
-            // the drain FIFO even when a claimant is mid-write.
-            if (c.seq.load(std::memory_order_acquire) != tail_ + 1)
-                break;
-            const KvKey key = c.touch.key;
-            const std::uint64_t hash = c.touch.hash;
-            c.seq.store(tail_ + mask_ + 1,
-                        std::memory_order_release);
-            ++tail_;
-            fn(key, hash);
-            ++n;
-        }
-        return n;
-    }
-
-    unsigned capacity() const { return mask_ + 1; }
-
-  private:
-    struct Cell
-    {
-        std::atomic<std::uint64_t> seq{0};
-        DeferredTouch touch;
-    };
-
-    std::unique_ptr<Cell[]> cells_;
-    unsigned mask_;
-    alignas(64) std::atomic<std::uint64_t> head_{0}; //!< producers
-    alignas(64) std::uint64_t tail_ = 0; //!< consumer (under mutex)
 };
 
 } // namespace adcache::kv

@@ -139,7 +139,7 @@ enum class KvOp : unsigned
     Fetch = 1,
     Put = 2,
     /** A get that could not complete lock-free (optimistic-retry
-     *  exhaustion or a full deferred-touch ring) and took the shard
+     *  exhaustion or no free epoch slot) and took the shard
      *  mutex — split out so hit-path and slow-path latency
      *  distributions stay distinguishable. */
     GetSlow = 3,

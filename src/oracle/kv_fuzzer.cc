@@ -35,6 +35,8 @@ kvFuzzOpName(KvFuzzOpKind kind)
         return "advance";
       case KvFuzzOpKind::MGet:
         return "mget";
+      case KvFuzzOpKind::PutPinned:
+        return "put_pinned";
     }
     return "?";
 }
@@ -66,7 +68,7 @@ KvConcurrencyFuzzer::emitSegment(KvFuzzSchedule &out,
     switch (rng_.below(6)) {
       case 0: {
         // Hot-spot hammering: every thread converges on one key so
-        // promotion, seqlock validation, and the touch ring all
+        // seqlock validation, the access mark and its folds all
         // contend on the same bucket.
         const kv::KvKey hot = key();
         out.push_back({thread(), KvFuzzOpKind::Put, hot});
@@ -131,9 +133,9 @@ KvConcurrencyFuzzer::emitSegment(KvFuzzSchedule &out,
         break;
       }
       default: {
-        // Pin churn on a small set: pins race victim selection's
-        // removal claim; unpins are biased so pins don't accumulate
-        // and wedge the cache.
+        // Pin churn on a small set: pins (and the rare pinned put)
+        // race victim selection's removal claim; unpins are biased
+        // so pins don't accumulate and wedge the cache.
         const kv::KvKey base = key();
         for (std::size_t i = 0; i < budget; ++i) {
             const kv::KvKey k = (base + rng_.below(4)) % keyspace_;
@@ -143,6 +145,8 @@ KvConcurrencyFuzzer::emitSegment(KvFuzzSchedule &out,
                 kind = KvFuzzOpKind::Pin;
             else if (r < 0.5)
                 kind = KvFuzzOpKind::Unpin;
+            else if (r < 0.53)
+                kind = KvFuzzOpKind::PutPinned;
             else if (r < 0.7)
                 kind = KvFuzzOpKind::Put;
             out.push_back({thread(), kind, k});
@@ -213,6 +217,9 @@ applyOp(kv::AdaptiveKvCache &cache, const KvFuzzOp &op)
       case KvFuzzOpKind::PutTtl:
         cache.put(op.key, kvExpectedValue(op.key),
                   /*pinned=*/false, 1 + op.key % 4);
+        break;
+      case KvFuzzOpKind::PutPinned:
+        cache.put(op.key, kvExpectedValue(op.key), /*pinned=*/true);
         break;
       case KvFuzzOpKind::Advance:
         cache.clockAdvance();
@@ -481,6 +488,9 @@ KvConcurrencyFuzzer::toLiteral(const KvFuzzSchedule &sched)
             break;
           case KvFuzzOpKind::MGet:
             out << "MGet";
+            break;
+          case KvFuzzOpKind::PutPinned:
+            out << "PutPinned";
             break;
         }
         out << ", " << op.key << "ull},\n";

@@ -60,6 +60,8 @@ enum class KvFuzzOpKind : std::uint8_t
      *  batch path racing writers, with the identity check applied
      *  to every returned member. */
     MGet,
+    /** put(key, value, pinned=true): insert or overwrite and pin. */
+    PutPinned,
 };
 
 /** Printable op-kind name ("get", "put", ...). */

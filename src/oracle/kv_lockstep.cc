@@ -10,7 +10,6 @@
 
 #include "kv/adaptive_kv_cache.hh"
 #include "oracle/differential.hh"
-#include "oracle/ref_kv_shard.hh"
 
 namespace adcache
 {
@@ -104,6 +103,10 @@ class KvLockstep
             m = diffOutcome(i, ref_.reference(key, value, true, false, 0),
                             cache_.put(key, value));
             break;
+          case KvFuzzOpKind::PutPinned:
+            m = diffOutcome(i, ref_.reference(key, value, true, true, 0),
+                            cache_.put(key, value, true));
+            break;
           case KvFuzzOpKind::PutTtl: {
             const std::uint64_t ttl = 1 + key % 4;
             m = diffOutcome(i,
@@ -182,15 +185,19 @@ class KvLockstep
     /** The cache's counters. */
     kv::KvShardStats stats() const { return cache_.shard(0).stats(); }
 
+    /** The model's counters. */
+    const RefKvCounters &model() const { return ref_.counters(); }
+
   private:
     std::optional<Mismatch>
     mget(std::size_t i, kv::KvKey first)
     {
         std::array<kv::KvKey, kMGetWidth> keys;
-        for (std::size_t j = 0; j < keys.size(); ++j)
+        std::array<std::optional<std::string>, kMGetWidth> want;
+        for (std::size_t j = 0; j < keys.size(); ++j) {
             keys[j] = first + j;
-        const std::vector<std::optional<std::string>> want =
-            ref_.getMany({keys.begin(), keys.end()});
+            want[j] = ref_.get(keys[j]);
+        }
         std::array<std::optional<std::string>, kMGetWidth> got;
         const std::size_t hits = cache_.getMany(
             std::span<const kv::KvKey>(keys), got.data());
@@ -254,8 +261,9 @@ class KvLockstep
         s.rejected = c.rejected;
         s.erases = c.erases;
         s.expirations = c.expirations;
-        s.readRetries = 0; // one thread never re-walks a bucket
-        s.slowProbes = c.slowProbes;
+        // One thread never re-walks a bucket, so never falls back.
+        s.readRetries = 0;
+        s.slowProbes = 0;
         s.diffMisses = c.diffMisses;
         for (unsigned k = 0; k < kv::kvNumComponents; ++k) {
             s.decisions[k] = c.decisions[k];
@@ -317,7 +325,7 @@ describeConfig(const kv::KvConfig &config)
         << " leaderEvery=" << config.leaderEvery
         << " shadowTagBits=" << config.shadowTagBits
         << " lockFreeReads=" << (config.lockFreeReads ? 1 : 0)
-        << " touchCapacity=" << config.touchCapacity << " keyHash="
+        << " keyHash="
         << (config.keyHash == kv::KeyHashKind::Mix ? "mix" : "identity")
         << " capacity=" << config.capacity
         << " buckets=" << config.numBuckets << "x" << config.bucketWays;
@@ -327,7 +335,8 @@ describeConfig(const kv::KvConfig &config)
 /** The first divergence of @p sched, if any. */
 std::optional<Mismatch>
 runLockstep(const kv::KvConfig &config, const KvFuzzSchedule &sched,
-            kv::KvShardStats *stats_out = nullptr)
+            kv::KvShardStats *stats_out = nullptr,
+            RefKvCounters *model_out = nullptr)
 {
     KvLockstep pair(config);
     for (std::size_t i = 0; i < sched.size(); ++i) {
@@ -341,6 +350,8 @@ runLockstep(const kv::KvConfig &config, const KvFuzzSchedule &sched,
         return m;
     if (stats_out)
         *stats_out = pair.stats();
+    if (model_out)
+        *model_out = pair.model();
     return std::nullopt;
 }
 
@@ -348,10 +359,10 @@ runLockstep(const kv::KvConfig &config, const KvFuzzSchedule &sched,
 
 std::string
 kvLockstepReport(const kv::KvConfig &config, const KvFuzzSchedule &sched,
-                 kv::KvShardStats *stats_out)
+                 kv::KvShardStats *stats_out, RefKvCounters *model_out)
 {
     const std::optional<Mismatch> first =
-        runLockstep(config, sched, stats_out);
+        runLockstep(config, sched, stats_out, model_out);
     if (!first)
         return "";
     // The run is deterministic, so the ops after the divergence can

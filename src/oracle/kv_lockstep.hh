@@ -26,6 +26,7 @@
 
 #include "kv/kv_shard.hh"
 #include "oracle/kv_fuzzer.hh"
+#include "oracle/ref_kv_shard.hh"
 
 namespace adcache
 {
@@ -37,13 +38,16 @@ namespace adcache
  * KvConcurrencyFuzzer::shrink.
  * @param stats_out if non-null, receives the cache's counters after
  *                  a run with no divergence.
+ * @param model_out if non-null, receives the model's counters after
+ *                  a run with no divergence.
  * @return "" when the two sides agree, else a report naming the
  *         config, the divergence (op, field, expected and actual),
  *         the shrunk schedule's divergence and its toLiteral().
  */
 std::string kvLockstepReport(const kv::KvConfig &config,
                              const KvFuzzSchedule &sched,
-                             kv::KvShardStats *stats_out = nullptr);
+                             kv::KvShardStats *stats_out = nullptr,
+                             RefKvCounters *model_out = nullptr);
 
 } // namespace adcache
 

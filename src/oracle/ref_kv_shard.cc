@@ -30,11 +30,6 @@ RefKvShard::RefKvShard(const kv::KvConfig &config)
       history_(kHistoryDepth, kv::kvNumComponents)
 {
     adcache_assert(config.numShards == 1);
-    // The touch ring holds touchCapacity rounded up to a power of
-    // two, at least 2.
-    ringCapacity_ = 2;
-    while (ringCapacity_ < config.touchCapacity)
-        ringCapacity_ *= 2;
 
     if (config.selector == kv::SelectorMode::FixedLfu)
         winner_ = kv::kvComponentLfu;
@@ -118,14 +113,26 @@ RefKvShard::purgeExpired(kv::KvKey key)
 }
 
 void
-RefKvShard::promote(kv::KvKey key)
+RefKvShard::promote(kv::KvKey key, unsigned lfu_steps)
 {
     lru_.remove(key);
     lru_.push_front(key);
     Entry &e = entries_.at(key);
-    if (e.freq < kMaxFreq)
-        ++e.freq;
-    e.freqStamp = ++freqClock_;
+    for (unsigned i = 0; i < lfu_steps; ++i) {
+        if (e.freq < kMaxFreq)
+            ++e.freq;
+        e.freqStamp = ++freqClock_;
+    }
+}
+
+void
+RefKvShard::lockedHit(kv::KvKey key)
+{
+    Entry &e = entries_.at(key);
+    const bool marked = e.marked;
+    e.marked = false;
+    counters_.hitFolds += marked;
+    promote(key, 1 + marked);
 }
 
 void
@@ -135,15 +142,6 @@ RefKvShard::remove(kv::KvKey key)
     chain.erase(std::find(chain.begin(), chain.end(), key));
     lru_.remove(key);
     entries_.erase(key);
-}
-
-bool
-RefKvShard::pushTouch()
-{
-    if (pendingTouches_ == ringCapacity_)
-        return false;
-    ++pendingTouches_;
-    return true;
 }
 
 std::optional<kv::KvKey>
@@ -162,22 +160,36 @@ RefKvShard::chooseVictim(unsigned bucket, bool leader, unsigned winner,
         }
     }
 
-    // Case 2: the winner's own order over every resident entry.
-    std::vector<kv::KvKey> order(lru_.rbegin(), lru_.rend());
-    if (config_.components[winner].evict == PolicyType::LFU) {
-        std::sort(order.begin(), order.end(),
-                  [this](kv::KvKey a, kv::KvKey b) {
-                      const Entry &x = entries_.at(a);
-                      const Entry &y = entries_.at(b);
-                      if (x.freq != y.freq)
-                          return x.freq < y.freq;
-                      return x.freqStamp < y.freqStamp;
-                  });
+    // Case 2: the winner's own order over every resident entry. A
+    // marked entry in the walked prefix is folded and the walk starts
+    // over, so only unmarked entries count toward the depth.
+    for (bool restart = true; restart;) {
+        restart = false;
+        std::vector<kv::KvKey> order(lru_.rbegin(), lru_.rend());
+        if (config_.components[winner].evict == PolicyType::LFU) {
+            std::sort(order.begin(), order.end(),
+                      [this](kv::KvKey a, kv::KvKey b) {
+                          const Entry &x = entries_.at(a);
+                          const Entry &y = entries_.at(b);
+                          if (x.freq != y.freq)
+                              return x.freq < y.freq;
+                          return x.freqStamp < y.freqStamp;
+                      });
+        }
+        for (std::size_t i = 0;
+             i < order.size() && i < config_.bucketWays; ++i) {
+            Entry &e = entries_.at(order[i]);
+            if (e.marked) {
+                e.marked = false;
+                ++counters_.walkFolds;
+                promote(order[i], 1);
+                restart = true;
+                break;
+            }
+            if (!e.pinned)
+                return order[i];
+        }
     }
-    for (std::size_t i = 0;
-         i < order.size() && i < config_.bucketWays; ++i)
-        if (!entries_.at(order[i]).pinned)
-            return order[i];
 
     // Case 3: the rotating cursor's first unpinned entry.
     for (unsigned i = 0; i < config_.numBuckets; ++i) {
@@ -199,7 +211,6 @@ RefKvShard::reference(kv::KvKey key, const std::string &value,
                       std::string *value_out)
 {
     kv::KvOutcome out;
-    pendingTouches_ = 0; // locked operations drain the ring first
     ++counters_.references;
     const std::uint64_t h = hashOf(key);
     const unsigned bucket = bucketOf(h);
@@ -235,7 +246,7 @@ RefKvShard::reference(kv::KvKey key, const std::string &value,
     if (it != entries_.end()) {
         ++counters_.hits;
         out.hit = true;
-        promote(key);
+        lockedHit(key);
         Entry &e = it->second;
         if (overwrite) {
             e.value = value;
@@ -319,51 +330,16 @@ RefKvShard::get(kv::KvKey key)
     if (it == entries_.end() || expired(it->second))
         return std::nullopt;
     ++counters_.getHits;
-    if (config_.lockFreeReads && !pushTouch()) {
-        ++counters_.slowProbes;
-        pendingTouches_ = 0;
-    }
-    promote(key);
+    if (config_.lockFreeReads)
+        it->second.marked = true;
+    else
+        lockedHit(key);
     return it->second.value;
-}
-
-std::vector<std::optional<std::string>>
-RefKvShard::getMany(const std::vector<kv::KvKey> &keys)
-{
-    std::vector<std::optional<std::string>> out;
-    if (keys.size() == 1 || !config_.lockFreeReads) {
-        for (kv::KvKey k : keys)
-            out.push_back(get(k));
-        return out;
-    }
-    // A batch's lock-free probes all run before its one mutex
-    // window, so every hit after the ring fills waits for that
-    // window and counts as a slow probe there.
-    std::uint64_t full = 0;
-    for (kv::KvKey k : keys) {
-        ++counters_.gets;
-        const auto it = entries_.find(k);
-        if (it == entries_.end() || expired(it->second)) {
-            out.emplace_back();
-            continue;
-        }
-        ++counters_.getHits;
-        if (!pushTouch())
-            ++full;
-        promote(k);
-        out.emplace_back(it->second.value);
-    }
-    if (full > 0) {
-        counters_.slowProbes += full;
-        pendingTouches_ = 0;
-    }
-    return out;
 }
 
 bool
 RefKvShard::erase(kv::KvKey key)
 {
-    pendingTouches_ = 0;
     if (purgeExpired(key) || entries_.count(key) == 0)
         return false;
     ++counters_.erases;
@@ -374,10 +350,8 @@ RefKvShard::erase(kv::KvKey key)
 bool
 RefKvShard::setPinned(kv::KvKey key, bool pinned)
 {
-    if (!config_.lockFreeReads) {
-        pendingTouches_ = 0;
+    if (!config_.lockFreeReads)
         purgeExpired(key);
-    }
     const auto it = entries_.find(key);
     if (it == entries_.end() || expired(it->second))
         return false;

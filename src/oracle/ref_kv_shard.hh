@@ -20,6 +20,8 @@
  *    it entered that class; the eviction order, (frequency, stamp)
  *    ascending, comes from sorting a scan. A hit at the saturated
  *    frequency refreshes the stamp;
+ *  - access marks: per entry a `marked` bool, set by a lock-free
+ *    get hit (never set with locked reads);
  *  - leader buckets (bucket % leaderEvery == 0, adaptive selector
  *    only): one RefCache per component over numBuckets x bucketWays
  *    with partial tags, and one RefWindowHistory of depth 64;
@@ -30,16 +32,20 @@
  * in a leader bucket whose winning shadow displaced a tag, the
  * newest unpinned entry of the bucket that folds to it; (2) policy —
  * the winner's order, walked at most bucketWays entries deep past
- * pinned ones; (3) fallback — a rotating bucket cursor's first
- * unpinned entry; if every entry is pinned the insert is rejected.
- * A winner with admission then asks the filter about the real
+ * pinned ones, where a marked entry, pinned or not, is folded (its
+ * mark cleared, one LRU move to the front, one LFU step) and the
+ * walk starts again from the top without counting it; (3) fallback
+ * — a rotating bucket cursor's first unpinned entry; if every entry
+ * is pinned the insert is rejected. Cases 1 and 3 ignore marks. A
+ * winner with admission then asks the filter about the real
  * (candidate, victim) pair.
  *
  * Reads model both modes of KvConfig::lockFreeReads. They differ in
- * one documented place: with lock-free reads, a get, contains or pin
- * of an expired entry leaves it resident until the next locked
- * contact. The bounded touch ring shows only as slowProbes: a hit
- * that finds the ring full is promoted under the mutex.
+ * two documented places. With lock-free reads, a get hit (alone or in
+ * an MGet) only marks the entry, and a locked hit (a filling
+ * reference) folds the mark: one LRU move and 1 + mark LFU steps.
+ * And a get, contains or pin of an expired entry leaves it resident
+ * until the next locked contact. An MGet is its keys' gets in order.
  */
 
 #ifndef ADCACHE_ORACLE_REF_KV_SHARD_HH
@@ -77,10 +83,13 @@ struct RefKvCounters
     std::uint64_t rejected = 0;
     std::uint64_t erases = 0;
     std::uint64_t expirations = 0;
-    std::uint64_t slowProbes = 0;
     std::uint64_t diffMisses = 0;
     std::uint64_t decisions[kv::kvNumComponents] = {};
     std::uint64_t admitRejects = 0;
+    // Model only (the cache has no such rows): marks folded by a
+    // locked hit and by the case-2 walk.
+    std::uint64_t hitFolds = 0;
+    std::uint64_t walkFolds = 0;
 };
 
 /** The naive single-shard model (see file comment). */
@@ -100,8 +109,6 @@ class RefKvShard
                             std::string *value_out = nullptr);
 
     std::optional<std::string> get(kv::KvKey key);
-    std::vector<std::optional<std::string>>
-    getMany(const std::vector<kv::KvKey> &keys);
     bool erase(kv::KvKey key);
     bool setPinned(kv::KvKey key, bool pinned);
     bool contains(kv::KvKey key) const;
@@ -126,6 +133,7 @@ class RefKvShard
         std::uint64_t tag = 0;
         unsigned freq = 1;
         std::uint64_t freqStamp = 0; //!< when it entered freq
+        bool marked = false;         //!< a lock-free hit since a fold
     };
 
     static constexpr unsigned kMaxFreq = 255;
@@ -143,7 +151,10 @@ class RefKvShard
     bool expired(const Entry &e) const;
     /** Remove @p key if it is resident but expired (counted). */
     bool purgeExpired(kv::KvKey key);
-    void promote(kv::KvKey key);
+    /** One LRU move to the front and @p lfu_steps LFU steps. */
+    void promote(kv::KvKey key, unsigned lfu_steps);
+    /** A locked hit: promote, folding the mark into the LFU steps. */
+    void lockedHit(kv::KvKey key);
     void remove(kv::KvKey key);
     /** Algorithm 1 at shard scope; nullopt = everything pinned. */
     std::optional<kv::KvKey> chooseVictim(unsigned bucket, bool leader,
@@ -151,13 +162,10 @@ class RefKvShard
                                           const RefOutcome &winner_out,
                                           bool *directed,
                                           bool *fallback);
-    /** Account one lock-free hit's touch; false = the ring was full. */
-    bool pushTouch();
 
     kv::KvConfig config_;
     unsigned shardBits_;
     unsigned bucketBits_;
-    unsigned ringCapacity_;
     std::uint64_t now_ = 0;
 
     std::unordered_map<kv::KvKey, Entry> entries_;
@@ -165,7 +173,6 @@ class RefKvShard
     std::list<kv::KvKey> lru_;                   //!< most recent first
     std::uint64_t freqClock_ = 0;
     unsigned cursor_ = 0;
-    unsigned pendingTouches_ = 0;
 
     /** Declared before shadows_, which point at it. */
     std::unique_ptr<RefTinyLfu> admission_;

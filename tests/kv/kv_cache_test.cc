@@ -236,7 +236,7 @@ TEST(KvCacheTest, StatsAggregateAcrossShards)
 
 /** Multi-shard lock-free-reads config for the getMany tests. */
 KvConfig
-mgetConfig(unsigned touch_capacity = 256)
+mgetConfig()
 {
     KvConfig c;
     c.capacity = 64;
@@ -248,7 +248,6 @@ mgetConfig(unsigned touch_capacity = 256)
     c.selector = SelectorMode::FixedLru;
     c.keyHash = KeyHashKind::Mix;
     c.lockFreeReads = true;
-    c.touchCapacity = touch_capacity;
     return c;
 }
 
@@ -270,13 +269,15 @@ keyProgram(std::uint64_t seed, std::size_t n, KvKey keyspace)
 /**
  * Drives two identically populated caches through the same key
  * program — one via getMany batches of @p depth, one via serial
- * get() calls — and checks that results, per-shard residency, and
- * the gets/getHits counters all converge. (slowProbes/readRetries
- * may legitimately diverge: a batch pays one slow-path entry per
- * shard group.)
+ * get() calls — then through @p evicting_puts puts of fresh keys,
+ * and checks that results, per-shard residency, and the
+ * gets/getHits counters all converge. (slowProbes/readRetries may
+ * legitimately diverge: a batch pays one slow-path entry per shard
+ * group.)
  */
 void
-expectGetManyMatchesSerial(const KvConfig &config, std::size_t depth)
+expectGetManyMatchesSerial(const KvConfig &config, std::size_t depth,
+                           std::size_t evicting_puts = 0)
 {
     AdaptiveKvCache batched(config);
     AdaptiveKvCache serial(config);
@@ -307,6 +308,10 @@ expectGetManyMatchesSerial(const KvConfig &config, std::size_t depth)
         }
     }
     EXPECT_EQ(batched_hits, serial_hits);
+    for (KvKey k = 1000; k < 1000 + evicting_puts; ++k) {
+        batched.put(k, "v");
+        serial.put(k, "v");
+    }
 
     ASSERT_EQ(batched.numShards(), serial.numShards());
     for (unsigned s = 0; s < batched.numShards(); ++s)
@@ -339,10 +344,10 @@ TEST(KvCacheTest, GetManyOddBatchSizesMatchSerial)
 
 TEST(KvCacheTest, GetManyTinyTouchRingMatchesSerial)
 {
-    // touchCapacity 2 forces the deferred-touch ring to overflow
-    // inside a single batch, exercising the NeedTouchDrain slow
-    // path on the grouped walk.
-    expectGetManyMatchesSerial(mgetConfig(2), 16);
+    // A batch marks its hits in one epoch window per shard group;
+    // the evicting puts afterwards fold those marks, so the batched
+    // marks must match the serial ones for the residency to agree.
+    expectGetManyMatchesSerial(mgetConfig(), 16, 48);
 }
 
 TEST(KvCacheTest, GetManyLockedReadsMatchSerial)

@@ -37,7 +37,7 @@ namespace
 namespace fs = std::filesystem;
 
 /** Small, eviction-heavy config so short schedules reach every
- *  path: 2 shards, lock-free reads, a tiny touch ring. */
+ *  path: 2 shards, lock-free reads. */
 kv::KvConfig
 fuzzConfig()
 {
@@ -50,7 +50,6 @@ fuzzConfig()
     c.shadowTagBits = 12;
     c.selector = kv::SelectorMode::Adaptive;
     c.keyHash = kv::KeyHashKind::Mix;
-    c.touchCapacity = 16;
     return c;
 }
 
@@ -209,20 +208,18 @@ parseSchedule(std::istream &in, unsigned *threads_out)
         kv::KvKey key;
         if (!(fields >> thread >> op >> key))
             continue;
+        // Op names are kvFuzzOpName's; kinds are only ever appended,
+        // so committed files keep parsing.
         KvFuzzOpKind kind = KvFuzzOpKind::Get;
-        if (op == "get")
-            kind = KvFuzzOpKind::Get;
-        else if (op == "put")
-            kind = KvFuzzOpKind::Put;
-        else if (op == "fetch")
-            kind = KvFuzzOpKind::Fetch;
-        else if (op == "erase")
-            kind = KvFuzzOpKind::Erase;
-        else if (op == "pin")
-            kind = KvFuzzOpKind::Pin;
-        else if (op == "unpin")
-            kind = KvFuzzOpKind::Unpin;
-        else
+        bool known = false;
+        for (unsigned k = 0; k <= unsigned(KvFuzzOpKind::PutPinned);
+             ++k) {
+            if (op == kvFuzzOpName(KvFuzzOpKind(k))) {
+                kind = KvFuzzOpKind(k);
+                known = true;
+            }
+        }
+        if (!known)
             ADD_FAILURE() << "unknown op \"" << op
                           << "\" (treated as get)";
         sched.push_back({std::uint8_t(thread), kind, key});

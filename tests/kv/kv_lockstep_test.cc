@@ -3,11 +3,10 @@
  * Lockstep verification of the kv cache in the shape it ships: a
  * single-shard AdaptiveKvCache against the naive RefKvShard
  * (oracle/kv_lockstep.hh), op by op, across the matrix of selector,
- * leader sampling, shadow tag width, component pair, read mode,
- * touch-ring size and key hash. Every config runs a single-thread
- * fuzzer schedule (put, fetch, get, MGet, erase, pin, unpin, TTL
- * puts and clock advances) and the four teststream motifs as fetch
- * streams. A divergence fails with the ddmin-shrunk schedule as a
+ * leader sampling, shadow tag width, component pair, read mode and
+ * key hash. Every config runs a single-thread fuzzer schedule (put,
+ * pinned put, fetch, get, MGet, erase, pin, unpin, TTL puts and
+ * clock advances) and the four teststream motifs as fetch streams. A divergence fails with the ddmin-shrunk schedule as a
  * replayable literal.
  */
 
@@ -15,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -54,8 +54,8 @@ baseConfig(SelectorMode mode, const KvComponentSpec *components)
     return c;
 }
 
-/** @p base across leaderEvery, shadow tag width, read mode, touch
- *  ring size and key hash. */
+/** @p base across leaderEvery, shadow tag width, read mode and key
+ *  hash. */
 std::vector<KvConfig>
 matrix(const KvConfig &base)
 {
@@ -63,17 +63,15 @@ matrix(const KvConfig &base)
     for (const unsigned leader_every : {1u, 8u})
         for (const unsigned tag_bits : {0u, 6u})
             for (const bool lock_free : {true, false})
-                for (const unsigned touch : {2u, 256u})
-                    for (const auto hash : {kv::KeyHashKind::Identity,
-                                            kv::KeyHashKind::Mix}) {
-                        KvConfig c = base;
-                        c.leaderEvery = leader_every;
-                        c.shadowTagBits = tag_bits;
-                        c.lockFreeReads = lock_free;
-                        c.touchCapacity = touch;
-                        c.keyHash = hash;
-                        out.push_back(c);
-                    }
+                for (const auto hash : {kv::KeyHashKind::Identity,
+                                        kv::KeyHashKind::Mix}) {
+                    KvConfig c = base;
+                    c.leaderEvery = leader_every;
+                    c.shadowTagBits = tag_bits;
+                    c.lockFreeReads = lock_free;
+                    c.keyHash = hash;
+                    out.push_back(c);
+                }
     return out;
 }
 
@@ -206,15 +204,12 @@ TEST(KvLockstepTest, SaturatedFrequenciesUnderPinsAgree)
         base.bucketWays = 4;
         base.leaderEvery = 1;
         for (const bool lock_free : {true, false}) {
-            for (const unsigned touch : {2u, 256u}) {
-                KvConfig c = base;
-                c.lockFreeReads = lock_free;
-                c.touchCapacity = touch;
-                for (const std::uint64_t seed : {71u, 72u}) {
-                    const std::string report = kvLockstepReport(
-                        c, saturatingSchedule(seed, 6'000));
-                    ASSERT_TRUE(report.empty()) << report;
-                }
+            KvConfig c = base;
+            c.lockFreeReads = lock_free;
+            for (const std::uint64_t seed : {71u, 72u}) {
+                const std::string report = kvLockstepReport(
+                    c, saturatingSchedule(seed, 6'000));
+                ASSERT_TRUE(report.empty()) << report;
             }
         }
     }
@@ -249,12 +244,12 @@ ttlSchedule(std::uint64_t seed, std::size_t length)
     return sched;
 }
 
-TEST(KvLockstepTest, ReadModesDifferOnlyInLazyExpiry)
+TEST(KvLockstepTest, BothReadModesAgreeUnderTtlChurn)
 {
     // Locked reads purge an expired entry on contact; lock-free reads
-    // leave it resident until the next locked contact. The model
-    // carries that one difference, so both modes agree with it and
-    // the purges they count differ.
+    // leave it resident until the next locked contact (and mark their
+    // hits). The model carries both differences, so both modes agree
+    // with it and the purges they count differ.
     std::uint64_t expirations[2] = {};
     for (const bool lock_free : {false, true}) {
         KvConfig c = baseConfig(SelectorMode::Adaptive, kLruVsLfu);
@@ -262,7 +257,6 @@ TEST(KvLockstepTest, ReadModesDifferOnlyInLazyExpiry)
         c.numBuckets = 4;
         c.leaderEvery = 1;
         c.lockFreeReads = lock_free;
-        c.touchCapacity = 2;
         kv::KvShardStats stats;
         const std::string report =
             kvLockstepReport(c, ttlSchedule(83, 4'000), &stats);
@@ -277,19 +271,29 @@ TEST(KvLockstepTest, StreamsReachEveryVictimCaseAndReadPath)
 {
     // The agreement above is only as strong as the paths the streams
     // reach: every victim case, both rejection kinds, lazy expiry,
-    // full touch rings and selection flips must actually occur.
+    // pinned puts, both kinds of mark fold and selection flips must
+    // actually occur.
     kv::KvShardStats total;
+    RefKvCounters folds;
+    std::size_t pinned_puts = 0;
     const auto run = [&](const KvConfig &c, const KvFuzzSchedule &sched) {
+        pinned_puts += std::count_if(
+            sched.begin(), sched.end(), [](const KvFuzzOp &op) {
+                return op.kind == KvFuzzOpKind::PutPinned;
+            });
         kv::KvShardStats stats;
-        const std::string report = kvLockstepReport(c, sched, &stats);
+        RefKvCounters model;
+        const std::string report =
+            kvLockstepReport(c, sched, &stats, &model);
         ASSERT_TRUE(report.empty()) << report;
         total.add(stats);
+        folds.hitFolds += model.hitFolds;
+        folds.walkFolds += model.walkFolds;
     };
     for (const auto *components : {kLruVsLfu, kAdmLruVsLfu}) {
         KvConfig c = baseConfig(SelectorMode::Adaptive, components);
         c.leaderEvery = 1;
         c.shadowTagBits = 6;
-        c.touchCapacity = 2;
         run(c, fuzzSchedule(11, 3'000));
         run(c, motifSchedule(teststream::Pattern::HotCold, 1'500, 5));
         c.capacity = 8;
@@ -303,7 +307,9 @@ TEST(KvLockstepTest, StreamsReachEveryVictimCaseAndReadPath)
     EXPECT_GT(total.rejected, 0u);
     EXPECT_GT(total.admitRejects, 0u);
     EXPECT_GT(total.expirations, 0u);
-    EXPECT_GT(total.slowProbes, 0u);
+    EXPECT_GT(pinned_puts, 0u);
+    EXPECT_GT(folds.hitFolds, 0u);
+    EXPECT_GT(folds.walkFolds, 0u);
     EXPECT_GT(total.selectionFlips, 0u);
     EXPECT_GT(total.decisions[kv::kvComponentLru], 0u);
     EXPECT_GT(total.decisions[kv::kvComponentLfu], 0u);

@@ -140,7 +140,7 @@ TEST(KvTortureTest, ReadersPlusWriterPartitionedMatchSerialReplay)
     // Satellite of the shard-partitioned-equals-serial family: three
     // reader threads plus one mutator, partitioned by shard so each
     // shard sees a single thread. Per-shard operation order — and
-    // therefore the drain schedule of every touch ring — is
+    // therefore when every access mark is set and folded — is
     // identical in the serial replay, so equality is exact,
     // lock-free reads included.
     const unsigned shards = 4;
