@@ -7,6 +7,13 @@
  * adaptation win when the workload shifts", this one maps how each
  * policy behaves on the stationary patterns the shifts are built
  * from.
+ *
+ * The fetch rows drive read-through fetch(), which promotes under
+ * the shard mutex. The "/aside" rows drive the same streams
+ * cache-aside — a get, then a put on a miss — once with lock-free
+ * reads (hits only set access marks) and once with locked reads
+ * ("/aside-locked", exact promotion), so the marks' effect on the
+ * get hit rate shows side by side.
  */
 
 #include <cstdio>
@@ -89,6 +96,26 @@ streams()
     return out;
 }
 
+/** Cache-aside: a get, then a put on a miss. */
+void
+runCacheAside(AdaptiveKvCache &cache, const KeyStreamSpec &spec)
+{
+    KeyStream stream(spec);
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+        const KvKey key = stream.next();
+        if (!cache.get(key))
+            cache.put(key, "v");
+    }
+}
+
+/** Get hits over gets. */
+double
+getHitRate(const StatRegistry &stats)
+{
+    const double gets = stats.numeric("kv.gets");
+    return gets == 0 ? 0.0 : stats.numeric("kv.get_hits") / gets;
+}
+
 } // namespace
 
 int
@@ -121,6 +148,30 @@ main()
                         "  adm %.4f\n",
                         name.c_str(), rate[0], rate[1], rate[2],
                         rate[3]);
+
+        // Cache-aside rows: the three selectors, marks vs exact.
+        double aside[3][2] = {};
+        for (std::size_t m = 0; m < 3; ++m) {
+            for (const bool lock_free : {true, false}) {
+                KvConfig config = configs[m].second;
+                config.lockFreeReads = lock_free;
+                AdaptiveKvCache cache(config);
+                runCacheAside(cache, spec);
+                ReportRow &row = grid.add(
+                    name, configs[m].first +
+                              (lock_free ? "/aside" : "/aside-locked"));
+                row.stats.text("stream", spec.describe());
+                cache.registerStats(row.stats, "kv.");
+                aside[m][lock_free] = getHitRate(row.stats);
+            }
+        }
+        if (reportFormat() == ReportFormat::Table)
+            std::printf("[%-11s] aside get hit rate, marks/exact:"
+                        " adaptive %.4f/%.4f  lru %.4f/%.4f"
+                        "  lfu %.4f/%.4f\n",
+                        name.c_str(), aside[0][1], aside[0][0],
+                        aside[1][1], aside[1][0], aside[2][1],
+                        aside[2][0]);
     }
 
     if (reportFormat() != ReportFormat::Table)

@@ -347,8 +347,14 @@ FrameReader::feed(std::string_view bytes)
 {
     if (corrupt_)
         return;
-    // Compact the consumed prefix before it outgrows one max frame.
-    if (pos_ > maxFrame_) {
+    if (pos_ == buf_.size()) {
+        // Everything buffered was consumed: restart at the front, so
+        // a reader of whole frames never grows past its largest one.
+        buf_.clear();
+        pos_ = 0;
+    } else if (pos_ > maxFrame_) {
+        // A partial frame is pending: compact the consumed prefix
+        // before it outgrows one max frame.
         buf_.erase(0, pos_);
         pos_ = 0;
     }

@@ -178,6 +178,9 @@ class FrameReader
      *  value at connection EOF means a truncated frame. */
     std::size_t buffered() const { return buf_.size() - pos_; }
 
+    /** Bytes the buffer holds room for (its allocation). */
+    std::size_t capacity() const { return buf_.capacity(); }
+
     bool corrupt() const { return corrupt_; }
 
   private:

@@ -1,6 +1,8 @@
 #include "workloads/key_stream.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -94,17 +96,27 @@ valueSizeFor(std::uint64_t key, const ValueSpec &spec)
 std::string
 valueFor(std::uint64_t key, const ValueSpec &spec)
 {
-    std::string v = "v" + std::to_string(key) + ":";
-    const std::size_t size =
-        std::max(valueSizeFor(key, spec), v.size());
-    v.reserve(size);
+    char header[24] = {'v'};
+    char *end = std::to_chars(header + 1, header + sizeof header - 1,
+                              key)
+                    .ptr;
+    *end++ = ':';
+    const std::size_t head = std::size_t(end - header);
+    const std::size_t size = std::max(valueSizeFor(key, spec), head);
+    // Printable padding keeps report dumps and test failures
+    // readable: byte i of it is 'a' + nibble (i mod 16) of
+    // mix64(key), so it repeats every 16 bytes.
+    char pattern[16];
     std::uint64_t fill = mix64(key);
-    while (v.size() < size) {
-        // Printable padding keeps report dumps and test failures
-        // readable.
-        v.push_back(char('a' + (fill & 15)));
-        fill = (fill >> 4) | (fill << 60);
+    for (char &c : pattern) {
+        c = char('a' + (fill & 15));
+        fill >>= 4;
     }
+    std::string v(size, '\0');
+    std::memcpy(v.data(), header, head);
+    for (std::size_t i = head; i < size; i += sizeof pattern)
+        std::memcpy(v.data() + i, pattern,
+                    std::min(sizeof pattern, size - i));
     return v;
 }
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "net/protocol.hh"
 
@@ -121,6 +122,46 @@ TEST(Protocol, ReaderYieldsMultipleFramesFromOneFeed)
     ASSERT_TRUE(decodeBody(body, &m));
     EXPECT_EQ(m.kind, MsgKind::Ping);
     EXPECT_EQ(reader.next(&body), FrameReader::Status::NeedMore);
+    EXPECT_EQ(reader.buffered(), 0u);
+}
+
+TEST(Protocol, ReaderStaysSmallAcrossWholeFrames)
+{
+    // A reader that is fully drained after every frame restarts at
+    // the front of its buffer instead of growing toward the 1 MiB
+    // compaction point.
+    const std::string frame = encodedFrame(Message::get(7));
+    ASSERT_EQ(frame.size(), 13u);
+    FrameReader reader;
+    std::string body;
+    for (int i = 0; i < 100'000; ++i) {
+        reader.feed(frame);
+        ASSERT_EQ(reader.next(&body), FrameReader::Status::Frame);
+    }
+    EXPECT_EQ(reader.buffered(), 0u);
+    EXPECT_LT(reader.capacity(), 4096u);
+}
+
+TEST(Protocol, ReaderReassemblesAFrameSplitAfterAFullDrain)
+{
+    const std::string first = encodedFrame(Message::get(1));
+    const std::string second =
+        encodedFrame(Message::put(2, "fed in two halves", 0));
+    const std::size_t half = second.size() / 2;
+    FrameReader reader;
+    std::string body;
+    reader.feed(first);
+    ASSERT_EQ(reader.next(&body), FrameReader::Status::Frame);
+    ASSERT_EQ(reader.buffered(), 0u);
+    reader.feed(std::string_view(second).substr(0, half));
+    EXPECT_EQ(reader.next(&body), FrameReader::Status::NeedMore);
+    reader.feed(std::string_view(second).substr(half));
+    ASSERT_EQ(reader.next(&body), FrameReader::Status::Frame);
+    Message back;
+    ASSERT_TRUE(decodeBody(body, &back));
+    EXPECT_EQ(back.kind, MsgKind::Put);
+    EXPECT_EQ(back.key, 2u);
+    EXPECT_EQ(back.payload, "fed in two halves");
     EXPECT_EQ(reader.buffered(), 0u);
 }
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace adcache
@@ -152,6 +154,44 @@ TEST(KeyStreamTest, ScrambleIsCollisionFree)
     for (int i = 0; i < 4096; ++i)
         distinct.insert(stream.next());
     EXPECT_EQ(distinct.size(), 4096u);
+}
+
+/** valueFor as it was first written, one byte at a time: the
+ *  reference the faster version must match byte for byte. */
+std::string
+bytewiseValueFor(std::uint64_t key, const ValueSpec &spec)
+{
+    const auto mix64 = [](std::uint64_t v) {
+        std::uint64_t z = v + 0x9e3779b97f4a7c15ULL;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    };
+    std::string v = "v" + std::to_string(key) + ":";
+    const std::size_t size =
+        std::max(valueSizeFor(key, spec), v.size());
+    v.reserve(size);
+    std::uint64_t fill = mix64(key);
+    while (v.size() < size) {
+        v.push_back(char('a' + (fill & 15)));
+        fill = (fill >> 4) | (fill << 60);
+    }
+    return v;
+}
+
+TEST(KeyStreamTest, ValueForMatchesTheBytewiseReference)
+{
+    // Small keys and keys near 2^64 (20-digit headers that outgrow
+    // the small specs), under variable, tiny and exact sizes.
+    const ValueSpec specs[] = {{64, 256}, {1, 1}, {8, 8}};
+    for (const ValueSpec &spec : specs) {
+        for (std::uint64_t i = 0; i < 100'000; ++i) {
+            for (const std::uint64_t key : {i, ~std::uint64_t(0) - i}) {
+                ASSERT_EQ(valueFor(key, spec), bytewiseValueFor(key, spec))
+                    << "key " << key << " spec " << spec.describe();
+            }
+        }
+    }
 }
 
 TEST(KeyStreamTest, Describe)
