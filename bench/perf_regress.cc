@@ -23,7 +23,10 @@
  *   perf_regress --check <base>     also compare against a committed
  *                                   baseline; exit 1 if any
  *                                   organisation's ns/access
- *                                   regressed by more than 10%
+ *                                   regressed by more than 10%, or,
+ *                                   before measuring, if the
+ *                                   baseline's hardware_concurrency
+ *                                   is missing or not this host's
  *   perf_regress --smoke            short run that validates JSON
  *                                   emission (no thresholds); wired
  *                                   to ctest label perf_smoke
@@ -695,6 +698,45 @@ parseBaseline(const std::string &json,
     return !out.empty();
 }
 
+/**
+ * Wall-clock ns/access only compares against a baseline recorded on a
+ * host like this one, so --check refuses, before measuring, a baseline
+ * whose hardware_concurrency is missing or differs from this host's.
+ * @return process exit code.
+ */
+int
+checkBaselineHost(const std::string &baseline_path)
+{
+    std::ifstream in(baseline_path);
+    if (!in) {
+        std::fprintf(stderr, "perf_regress: cannot read baseline %s\n",
+                     baseline_path.c_str());
+        return 1;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string json = text.str();
+    const std::string key = "\"hardware_concurrency\": \"";
+    std::string recorded = "(missing)";
+    const std::size_t at = json.find(key);
+    if (at != std::string::npos) {
+        const std::size_t begin = at + key.size();
+        const std::size_t end = json.find('"', begin);
+        if (end != std::string::npos)
+            recorded = json.substr(begin, end - begin);
+    }
+    const std::string here =
+        std::to_string(std::thread::hardware_concurrency());
+    if (recorded == here)
+        return 0;
+    std::fprintf(stderr,
+                 "perf_regress: refusing --check: baseline %s was "
+                 "recorded at hardware_concurrency %s, this host has "
+                 "%s; record a baseline on this host with --out\n",
+                 baseline_path.c_str(), recorded.c_str(), here.c_str());
+    return 1;
+}
+
 /** @return process exit code. */
 int
 check(const std::vector<Measurement> &measured,
@@ -1233,6 +1275,9 @@ main(int argc, char **argv)
             return 2;
         }
     }
+
+    if (!baseline_path.empty() && checkBaselineHost(baseline_path) != 0)
+        return 1;
 
 #ifndef NDEBUG
     std::fprintf(stderr,

@@ -26,7 +26,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "usage: %s <benchmark> <policyA> <policyB> "
                      "[--timed]\n"
-                     "policies: lru lfu fifo mru random plru srrip\n",
+                     "policies: lru lfu fifo mru random plru srrip cmslfu\n",
                      argv[0]);
         return 1;
     }

@@ -41,7 +41,7 @@ Cache::accessImpl(Policy &policy, Addr addr, bool is_write)
     const unsigned way = tags_.lookup(set, tag);
     if (way != TagArray::kNoWay) {
         ++stats_.hits;
-        policyOnHit(policy, set, way, tag);
+        policy.onHit(set, way, tag);
         if (is_write)
             tags_.markDirty(set, way);
         result.hit = true;
@@ -56,7 +56,7 @@ Cache::accessImpl(Policy &policy, Addr addr, bool is_write)
 
     unsigned fill_way = tags_.invalidWay(set);
     if (fill_way == TagArray::kNoWay) {
-        fill_way = policyEvictFill(policy, set, tag);
+        fill_way = policy.evictFill(set, tag);
         ++stats_.evictions;
         if (tags_.dirty(set, fill_way)) {
             ++stats_.writebacks;
@@ -65,7 +65,7 @@ Cache::accessImpl(Policy &policy, Addr addr, bool is_write)
                 geom_.reconstruct(set, tags_.tag(set, fill_way));
         }
     } else {
-        policyOnFill(policy, set, fill_way, tag);
+        policy.onFill(set, fill_way, tag);
     }
 
     tags_.fill(set, fill_way, tag);

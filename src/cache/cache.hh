@@ -50,9 +50,6 @@ class Cache : public CacheModel
     /** Invalidate the block containing @p addr if resident. */
     void invalidateBlock(Addr addr);
 
-    /** The replacement metadata (exposed for tests). */
-    PolicySet &policies() { return policies_; }
-
     PolicyType policyType() const { return config_.policy; }
 
   private:

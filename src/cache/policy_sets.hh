@@ -1,17 +1,19 @@
 /**
  * @file
- * Devirtualized replacement-policy state for a whole cache: one
- * concrete *Sets class per algorithm holds the metadata of every set
- * contiguously (no per-set heap objects), and PolicySet wraps them in
- * a variant so the caller pays one dispatch per access — visit() once,
- * then every onFill/onHit/victim call inside the access body is a
- * direct, inlinable call.
+ * Replacement-policy state for a whole cache, and the simulator's only
+ * implementation of each policy: one concrete *Sets class per
+ * algorithm holds the metadata of every set contiguously (no per-set
+ * heap objects), and PolicySet wraps them in a variant so the caller
+ * pays one dispatch per access — visit() once, then every
+ * onFill/onHit/victim call inside the access body is a direct,
+ * inlinable call.
  *
- * Semantics are kept bit-identical to the per-set virtual policies in
- * cache/policies.cc (the configuration-boundary interface): same
- * stamp/counter evolution, same tie-breaks, same Rng draw order for
- * Random. tests/cache/policy_sets_test.cc locks the two in step, and
- * the differential oracle verifies the composed caches end to end.
+ * Every policy takes the same hooks: onFill(set, way, tag),
+ * onHit(set, way, tag), onInvalidate(set, way), victim(set),
+ * evictFill(set, tag) and peekVictim(set). Only CMS-LFU reads the tag.
+ * tests/cache/policy_sets_test.cc checks each policy against its naive
+ * model in oracle/ref_policy.cc (Random against a twin Rng), and the
+ * differential oracle verifies the composed caches end to end.
  */
 
 #ifndef ADCACHE_CACHE_POLICY_SETS_HH
@@ -202,143 +204,104 @@ class StampLanes8
 };
 
 /**
- * LRU / MRU via last-use stamps; victim is min (LRU) or max (MRU).
- * Packed 8-bit stamp lanes for assoc <= 8, wide 64-bit stamps above.
+ * Per-set event stamps, stored by associativity: packed StampLanes8
+ * lanes when assoc <= 8, else one 64-bit stamp per way and a 64-bit
+ * per-set clock. Every stamp-ordered policy keeps its order here, and
+ * both forms give every scan the same answer: zero marks a never-used
+ * or invalidated way, a set's nonzero stamps are pairwise distinct,
+ * and lane renormalization preserves their order.
  */
-template <bool EvictMostRecent>
-class RecencySets
+class StampStore
 {
   public:
-    RecencySets(unsigned num_sets, unsigned assoc, Rng *)
+    StampStore(unsigned num_sets, unsigned assoc)
         : assoc_(assoc), packed_(assoc <= 8),
-          small_(packed_ ? num_sets : 0, packed_ ? assoc : 1),
-          stamp_(packed_ ? 0 : std::size_t(num_sets) * assoc, 0),
+          lanes_(packed_ ? num_sets : 0, packed_ ? assoc : 1),
+          wide_(packed_ ? 0 : std::size_t(num_sets) * assoc, 0),
           clock_(packed_ ? 0 : num_sets, 0)
     {
     }
 
+    /** Stamp (set, way) with the set's next event number. */
     void
-    onFill(unsigned set, unsigned way)
+    bump(unsigned set, unsigned way)
     {
         if (packed_)
-            small_.bump(set, way);
+            lanes_.bump(set, way);
         else
-            stamp_[index(set, way)] = ++clock_[set];
-    }
-
-    void
-    onHit(unsigned set, unsigned way)
-    {
-        onFill(set, way);
-    }
-
-    void onInvalidate(unsigned set, unsigned way)
-    {
-        if (packed_)
-            small_.clear(set, way);
-        else
-            stamp_[index(set, way)] = 0;
-    }
-
-    unsigned victim(unsigned set) { return peekVictim(set); }
-
-    /** Fused victim + onFill on the chosen way (see PolicySet). */
-    unsigned
-    evictFill(unsigned set)
-    {
-        if (packed_)
-            return small_.evictBump<EvictMostRecent>(set);
-        const unsigned way = peekVictim(set);
-        stamp_[index(set, way)] = ++clock_[set];
-        return way;
-    }
-
-    unsigned
-    peekVictim(unsigned set) const
-    {
-        if (packed_) {
-            return EvictMostRecent ? small_.maxWay(set)
-                                   : small_.minWay(set);
-        }
-        const std::uint64_t *s = &stamp_[std::size_t(set) * assoc_];
-        unsigned best = 0;
-        for (unsigned w = 1; w < assoc_; ++w) {
-            const bool better =
-                EvictMostRecent ? s[w] > s[best] : s[w] < s[best];
-            if (better)
-                best = w;
-        }
-        return best;
-    }
-
-  private:
-    std::size_t
-    index(unsigned set, unsigned way) const
-    {
-        return std::size_t(set) * assoc_ + way;
-    }
-
-    unsigned assoc_;
-    bool packed_;
-    StampLanes8 small_;
-    std::vector<std::uint64_t> stamp_;
-    std::vector<std::uint64_t> clock_;  // per-set event stamp
-};
-
-/** FIFO: victim is the oldest fill; hits do not refresh. */
-class FifoSets
-{
-  public:
-    FifoSets(unsigned num_sets, unsigned assoc, Rng *)
-        : assoc_(assoc), packed_(assoc <= 8),
-          small_(packed_ ? num_sets : 0, packed_ ? assoc : 1),
-          fillStamp_(packed_ ? 0 : std::size_t(num_sets) * assoc, 0),
-          clock_(packed_ ? 0 : num_sets, 0)
-    {
+            wide_[index(set, way)] = ++clock_[set];
     }
 
     void
-    onFill(unsigned set, unsigned way)
+    clear(unsigned set, unsigned way)
     {
         if (packed_)
-            small_.bump(set, way);
+            lanes_.clear(set, way);
         else
-            fillStamp_[index(set, way)] = ++clock_[set];
+            wide_[index(set, way)] = 0;
     }
 
-    void onHit(unsigned, unsigned) {}
-
-    void onInvalidate(unsigned set, unsigned way)
-    {
-        if (packed_)
-            small_.clear(set, way);
-        else
-            fillStamp_[index(set, way)] = 0;
-    }
-
-    unsigned victim(unsigned set) { return peekVictim(set); }
-
-    /** Fused victim + onFill on the chosen way (see PolicySet). */
+    /** Lowest way with the smallest (PickMax false) or largest stamp. */
+    template <bool PickMax>
     unsigned
-    evictFill(unsigned set)
+    pick(unsigned set) const
     {
         if (packed_)
-            return small_.evictBump<false>(set);
-        const unsigned way = peekVictim(set);
-        fillStamp_[index(set, way)] = ++clock_[set];
-        return way;
-    }
-
-    unsigned
-    peekVictim(unsigned set) const
-    {
-        if (packed_)
-            return small_.minWay(set);
-        const std::uint64_t *s = &fillStamp_[std::size_t(set) * assoc_];
+            return PickMax ? lanes_.maxWay(set) : lanes_.minWay(set);
+        const std::uint64_t *s = &wide_[index(set, 0)];
         unsigned best = 0;
         for (unsigned w = 1; w < assoc_; ++w)
-            if (s[w] < s[best])
+            if (PickMax ? s[w] > s[best] : s[w] < s[best])
                 best = w;
+        return best;
+    }
+
+    /** pick<PickMax> followed by bump on the chosen way. */
+    template <bool PickMax>
+    unsigned
+    evictBump(unsigned set)
+    {
+        if (packed_)
+            return lanes_.evictBump<PickMax>(set);
+        const unsigned way = pick<PickMax>(set);
+        bump(set, way);
+        return way;
+    }
+
+    /**
+     * Lowest way with the least rank(way), ties to the oldest stamp.
+     * rank(way) must be below 2^24; it is called once per way.
+     */
+    template <class Rank>
+    unsigned
+    minRanked(unsigned set, Rank rank) const
+    {
+        unsigned best = 0;
+        if (packed_) {
+            // Branchless: (rank << 8) | lane orders exactly like
+            // "rank, tie-broken by older stamp", and a strict-< min
+            // scan keeps the lowest way among equals.
+            unsigned best_key = (unsigned(rank(0)) << 8) |
+                                lanes_.stamp(set, 0);
+            for (unsigned w = 1; w < assoc_; ++w) {
+                const unsigned key = (unsigned(rank(w)) << 8) |
+                                     lanes_.stamp(set, w);
+                if (key < best_key) {
+                    best_key = key;
+                    best = w;
+                }
+            }
+            return best;
+        }
+        const std::uint64_t *s = &wide_[index(set, 0)];
+        unsigned best_rank = rank(0);
+        for (unsigned w = 1; w < assoc_; ++w) {
+            const unsigned r = rank(w);
+            if (r < best_rank || (r == best_rank && s[w] < s[best])) {
+                best_rank = r;
+                best = w;
+            }
+        }
         return best;
     }
 
@@ -351,10 +314,63 @@ class FifoSets
 
     unsigned assoc_;
     bool packed_;
-    StampLanes8 small_;
-    std::vector<std::uint64_t> fillStamp_;
+    StampLanes8 lanes_;
+    std::vector<std::uint64_t> wide_;
     std::vector<std::uint64_t> clock_;
 };
+
+/**
+ * Stamp-ordered policies: the victim is the way with the oldest stamp
+ * (or the newest, for EvictNewest), and a fill always restamps. LRU
+ * and MRU also restamp on a hit, and MRU evicts the newest; FIFO
+ * ignores hits.
+ */
+template <bool EvictNewest, bool RefreshOnHit>
+class StampOrderSets
+{
+  public:
+    StampOrderSets(unsigned num_sets, unsigned assoc, Rng *)
+        : stamps_(num_sets, assoc)
+    {
+    }
+
+    void
+    onFill(unsigned set, unsigned way, std::uint64_t)
+    {
+        stamps_.bump(set, way);
+    }
+
+    void
+    onHit(unsigned set, unsigned way, std::uint64_t)
+    {
+        if constexpr (RefreshOnHit)
+            stamps_.bump(set, way);
+    }
+
+    void onInvalidate(unsigned set, unsigned way) { stamps_.clear(set, way); }
+
+    unsigned victim(unsigned set) { return peekVictim(set); }
+
+    /** Fused victim + onFill on the chosen way (see PolicySet). */
+    unsigned
+    evictFill(unsigned set, std::uint64_t)
+    {
+        return stamps_.evictBump<EvictNewest>(set);
+    }
+
+    unsigned
+    peekVictim(unsigned set) const
+    {
+        return stamps_.pick<EvictNewest>(set);
+    }
+
+  private:
+    StampStore stamps_;
+};
+
+using LruSets = StampOrderSets<false, true>;
+using MruSets = StampOrderSets<true, true>;
+using FifoSets = StampOrderSets<false, false>;
 
 /**
  * LFU with 5-bit saturating frequency counters (Table 1). A fill
@@ -368,26 +384,20 @@ class LfuSets
     static constexpr std::uint8_t counterMax = (1u << counterBits) - 1;
 
     LfuSets(unsigned num_sets, unsigned assoc, Rng *)
-        : assoc_(assoc), packed_(assoc <= 8),
-          count_(std::size_t(num_sets) * assoc, 0),
-          small_(packed_ ? num_sets : 0, packed_ ? assoc : 1),
-          fillStamp_(packed_ ? 0 : std::size_t(num_sets) * assoc, 0),
-          clock_(packed_ ? 0 : num_sets, 0)
+        : assoc_(assoc), count_(std::size_t(num_sets) * assoc, 0),
+          fills_(num_sets, assoc)
     {
     }
 
     void
-    onFill(unsigned set, unsigned way)
+    onFill(unsigned set, unsigned way, std::uint64_t)
     {
         count_[index(set, way)] = 1;
-        if (packed_)
-            small_.bump(set, way);
-        else
-            fillStamp_[index(set, way)] = ++clock_[set];
+        fills_.bump(set, way);
     }
 
     void
-    onHit(unsigned set, unsigned way)
+    onHit(unsigned set, unsigned way, std::uint64_t)
     {
         std::uint8_t &c = count_[index(set, way)];
         if (c < counterMax)
@@ -398,52 +408,25 @@ class LfuSets
     onInvalidate(unsigned set, unsigned way)
     {
         count_[index(set, way)] = 0;
-        if (packed_)
-            small_.clear(set, way);
-        else
-            fillStamp_[index(set, way)] = 0;
+        fills_.clear(set, way);
     }
 
     unsigned victim(unsigned set) { return peekVictim(set); }
 
     /** Fused victim + onFill on the chosen way (see PolicySet). */
     unsigned
-    evictFill(unsigned set)
+    evictFill(unsigned set, std::uint64_t tag)
     {
-        const unsigned way = victim(set);
-        onFill(set, way);
+        const unsigned way = peekVictim(set);
+        onFill(set, way, tag);
         return way;
     }
 
     unsigned
     peekVictim(unsigned set) const
     {
-        const std::uint8_t *c = &count_[std::size_t(set) * assoc_];
-        unsigned best = 0;
-        if (packed_) {
-            // Branchless: (count << 8) | stamp orders exactly like
-            // "count, tie-broken by older fill stamp", and a strict-<
-            // min scan keeps the lowest way among equals.
-            unsigned best_key =
-                (unsigned(c[0]) << 8) | small_.stamp(set, 0);
-            for (unsigned w = 1; w < assoc_; ++w) {
-                const unsigned key =
-                    (unsigned(c[w]) << 8) | small_.stamp(set, w);
-                if (key < best_key) {
-                    best_key = key;
-                    best = w;
-                }
-            }
-            return best;
-        }
-        const std::uint64_t *f = &fillStamp_[std::size_t(set) * assoc_];
-        for (unsigned w = 1; w < assoc_; ++w) {
-            if (c[w] < c[best] ||
-                (c[w] == c[best] && f[w] < f[best])) {
-                best = w;
-            }
-        }
-        return best;
+        const std::uint8_t *c = &count_[index(set, 0)];
+        return fills_.minRanked(set, [c](unsigned w) { return c[w]; });
     }
 
   private:
@@ -454,17 +437,15 @@ class LfuSets
     }
 
     unsigned assoc_;
-    bool packed_;
     std::vector<std::uint8_t> count_;
-    StampLanes8 small_;
-    std::vector<std::uint64_t> fillStamp_;
-    std::vector<std::uint64_t> clock_;
+    StampStore fills_;
 };
 
 /**
  * Random replacement. The upcoming victim is drawn lazily per set and
- * cached so peekVictim() agrees with the following victim() call, and
- * the shared-Rng draw order matches the virtual policy exactly.
+ * cached so peekVictim() agrees with the following victim() call;
+ * draws come from the shared Rng in the order sets first ask for a
+ * victim.
  */
 class RandomSets
 {
@@ -476,8 +457,8 @@ class RandomSets
         adcache_assert(rng != nullptr);
     }
 
-    void onFill(unsigned, unsigned) {}
-    void onHit(unsigned, unsigned) {}
+    void onFill(unsigned, unsigned, std::uint64_t) {}
+    void onHit(unsigned, unsigned, std::uint64_t) {}
     void onInvalidate(unsigned, unsigned) {}
 
     unsigned
@@ -489,7 +470,7 @@ class RandomSets
     }
 
     /** Fused victim + onFill on the chosen way (see PolicySet). */
-    unsigned evictFill(unsigned set) { return victim(set); }
+    unsigned evictFill(unsigned set, std::uint64_t) { return victim(set); }
 
     unsigned
     peekVictim(unsigned set) const
@@ -522,17 +503,17 @@ class TreePlruSets
         adcache_assert(isPowerOfTwo(assoc) && assoc <= 64);
     }
 
-    void onFill(unsigned set, unsigned way) { touch(set, way); }
-    void onHit(unsigned set, unsigned way) { touch(set, way); }
+    void onFill(unsigned set, unsigned way, std::uint64_t) { touch(set, way); }
+    void onHit(unsigned set, unsigned way, std::uint64_t) { touch(set, way); }
     void onInvalidate(unsigned, unsigned) {}
 
     unsigned victim(unsigned set) { return peekVictim(set); }
 
     /** Fused victim + onFill on the chosen way (see PolicySet). */
     unsigned
-    evictFill(unsigned set)
+    evictFill(unsigned set, std::uint64_t)
     {
-        const unsigned way = victim(set);
+        const unsigned way = peekVictim(set);
         touch(set, way);
         return way;
     }
@@ -597,12 +578,13 @@ class SrripSets
     }
 
     void
-    onFill(unsigned set, unsigned way)
+    onFill(unsigned set, unsigned way, std::uint64_t)
     {
         rrpv_[index(set, way)] = maxRrpv - 1;
     }
 
-    void onHit(unsigned set, unsigned way)
+    void
+    onHit(unsigned set, unsigned way, std::uint64_t)
     {
         rrpv_[index(set, way)] = 0;
     }
@@ -616,7 +598,7 @@ class SrripSets
     unsigned
     victim(unsigned set)
     {
-        std::uint8_t *r = &rrpv_[std::size_t(set) * assoc_];
+        std::uint8_t *r = &rrpv_[index(set, 0)];
         for (;;) {
             for (unsigned w = 0; w < assoc_; ++w)
                 if (r[w] == maxRrpv)
@@ -628,10 +610,10 @@ class SrripSets
 
     /** Fused victim + onFill on the chosen way (see PolicySet). */
     unsigned
-    evictFill(unsigned set)
+    evictFill(unsigned set, std::uint64_t tag)
     {
         const unsigned way = victim(set);
-        onFill(set, way);
+        onFill(set, way, tag);
         return way;
     }
 
@@ -640,7 +622,7 @@ class SrripSets
     {
         // Same search as victim(), but on a scratch copy (SRRIP's
         // aging mutates state; preview must not).
-        const std::uint8_t *r = &rrpv_[std::size_t(set) * assoc_];
+        const std::uint8_t *r = &rrpv_[index(set, 0)];
         std::uint8_t scratch[64];
         for (unsigned w = 0; w < assoc_; ++w)
             scratch[w] = r[w];
@@ -665,18 +647,17 @@ class SrripSets
 };
 
 /**
- * Approximate LFU over a shared Count-Min sketch (ROADMAP item 2).
- * Unlike LfuSets' per-way 5-bit counters, the frequency state is one
- * per-cache sketch: O(1) memory in the number of entries, with
- * periodic decay_half aging so popularity estimates track the recent
- * phase. Victim is the way whose stored key has the smallest
- * estimate, tie-broken by oldest fill, then lowest way.
+ * Approximate LFU over a shared Count-Min sketch. Unlike LfuSets'
+ * per-way 5-bit counters, the frequency state is one per-cache
+ * sketch: O(1) memory in the number of entries, with periodic
+ * decay_half aging so popularity estimates track the recent phase.
+ * Victim is the way whose stored key has the smallest estimate,
+ * tie-broken by oldest fill, then lowest way.
  *
- * This policy is *key-aware*: it must see the (folded) tag of every
- * reference, so owners call the *Tagged hooks via the policyOn*
- * dispatch helpers below; the address-free hooks panic. Sketch keys
- * compose the set index into the tag (adapt::sketchEntryKey) so
- * same-tag blocks in different sets count separately.
+ * This is the one policy that reads the tag its hooks are given:
+ * sketch keys compose the set index into the (folded) tag
+ * (adapt::sketchEntryKey) so same-tag blocks in different sets count
+ * separately.
  */
 class CmsLfuSets
 {
@@ -686,26 +667,24 @@ class CmsLfuSets
           setBits_(num_sets <= 1 ? 0 : floorLog2(num_sets)),
           sketch_(adapt::SketchParams::forGeometry(num_sets, assoc)),
           key_(std::size_t(num_sets) * assoc, 0),
-          fillStamp_(std::size_t(num_sets) * assoc, 0),
-          clock_(num_sets, 0)
+          fills_(num_sets, assoc)
     {
         adcache_assert(isPowerOfTwo(num_sets) || num_sets == 1);
     }
 
     void
-    onFillTagged(unsigned set, unsigned way, std::uint64_t tag)
+    onFill(unsigned set, unsigned way, std::uint64_t tag)
     {
         const std::uint64_t k =
             adapt::sketchEntryKey(tag, set, setBits_);
         key_[index(set, way)] = k;
-        fillStamp_[index(set, way)] = ++clock_[set];
+        fills_.bump(set, way);
         sketch_.add(k);
     }
 
     void
-    onHitTagged(unsigned set, unsigned way, std::uint64_t tag)
+    onHit(unsigned set, unsigned, std::uint64_t tag)
     {
-        (void)way;
         sketch_.add(adapt::sketchEntryKey(tag, set, setBits_));
     }
 
@@ -713,31 +692,18 @@ class CmsLfuSets
      *  candidate's sketch add (the add could inflate a colliding
      *  resident key's estimate and change the choice). */
     unsigned
-    evictFillTagged(unsigned set, std::uint64_t tag)
+    evictFill(unsigned set, std::uint64_t tag)
     {
         const unsigned way = peekVictim(set);
-        onFillTagged(set, way, tag);
+        onFill(set, way, tag);
         return way;
-    }
-
-    void onFill(unsigned, unsigned)
-    {
-        panic("CmsLfu requires tagged calls (policyOnFill)");
-    }
-    void onHit(unsigned, unsigned)
-    {
-        panic("CmsLfu requires tagged calls (policyOnHit)");
-    }
-    unsigned evictFill(unsigned)
-    {
-        panic("CmsLfu requires tagged calls (policyEvictFill)");
     }
 
     void
     onInvalidate(unsigned set, unsigned way)
     {
         key_[index(set, way)] = 0;
-        fillStamp_[index(set, way)] = 0;
+        fills_.clear(set, way);
     }
 
     unsigned victim(unsigned set) { return peekVictim(set); }
@@ -745,19 +711,10 @@ class CmsLfuSets
     unsigned
     peekVictim(unsigned set) const
     {
-        const std::uint64_t *k = &key_[std::size_t(set) * assoc_];
-        const std::uint64_t *f = &fillStamp_[std::size_t(set) * assoc_];
-        unsigned best = 0;
-        std::uint32_t best_est = sketch_.estimate(k[0]);
-        for (unsigned w = 1; w < assoc_; ++w) {
-            const std::uint32_t est = sketch_.estimate(k[w]);
-            if (est < best_est ||
-                (est == best_est && f[w] < f[best])) {
-                best_est = est;
-                best = w;
-            }
-        }
-        return best;
+        const std::uint64_t *k = &key_[index(set, 0)];
+        return fills_.minRanked(set, [this, k](unsigned w) {
+            return sketch_.estimate(k[w]);
+        });
     }
 
     const adapt::CountMinSketch &sketch() const { return sketch_; }
@@ -772,47 +729,9 @@ class CmsLfuSets
     unsigned assoc_;
     unsigned setBits_;
     adapt::CountMinSketch sketch_;
-    std::vector<std::uint64_t> key_;       // stored sketch key per way
-    std::vector<std::uint64_t> fillStamp_; // tie-break: oldest fill
-    std::vector<std::uint64_t> clock_;
+    std::vector<std::uint64_t> key_; // stored sketch key per way
+    StampStore fills_;               // tie-break: oldest fill
 };
-
-/*
- * Key-aware dispatch: policies that track reference frequency by key
- * (CmsLfuSets) implement the *Tagged hooks; address-free policies
- * take the way-only form. Owners that have the tag at hand (Cache,
- * ShadowCache, SbarCache) route every policy event through these so
- * a key-aware policy can slot into any host.
- */
-template <class P>
-inline void
-policyOnFill(P &p, unsigned set, unsigned way, std::uint64_t tag)
-{
-    if constexpr (requires { p.onFillTagged(set, way, tag); })
-        p.onFillTagged(set, way, tag);
-    else
-        p.onFill(set, way);
-}
-
-template <class P>
-inline void
-policyOnHit(P &p, unsigned set, unsigned way, std::uint64_t tag)
-{
-    if constexpr (requires { p.onHitTagged(set, way, tag); })
-        p.onHitTagged(set, way, tag);
-    else
-        p.onHit(set, way);
-}
-
-template <class P>
-inline unsigned
-policyEvictFill(P &p, unsigned set, std::uint64_t tag)
-{
-    if constexpr (requires { p.evictFillTagged(set, tag); })
-        return p.evictFillTagged(set, tag);
-    else
-        return p.evictFill(set);
-}
 
 /**
  * Variant over the concrete policy-set implementations. Hot paths
@@ -823,9 +742,8 @@ class PolicySet
 {
   public:
     using Variant =
-        std::variant<RecencySets<false>, RecencySets<true>, FifoSets,
-                     LfuSets, RandomSets, TreePlruSets, SrripSets,
-                     CmsLfuSets>;
+        std::variant<LruSets, MruSets, FifoSets, LfuSets, RandomSets,
+                     TreePlruSets, SrripSets, CmsLfuSets>;
 
     PolicySet(PolicyType type, unsigned num_sets, unsigned assoc,
               Rng *rng)
@@ -878,15 +796,15 @@ class PolicySet
     }
 
     void
-    onFill(unsigned set, unsigned way)
+    onFill(unsigned set, unsigned way, std::uint64_t tag)
     {
-        visit([&](auto &p) { p.onFill(set, way); });
+        visit([&](auto &p) { p.onFill(set, way, tag); });
     }
 
     void
-    onHit(unsigned set, unsigned way)
+    onHit(unsigned set, unsigned way, std::uint64_t tag)
     {
-        visit([&](auto &p) { p.onHit(set, way); });
+        visit([&](auto &p) { p.onHit(set, way, tag); });
     }
 
     void
@@ -911,9 +829,9 @@ class PolicySet
      * scan and the restamp into one load/store of the lane word.
      */
     unsigned
-    evictFill(unsigned set)
+    evictFill(unsigned set, std::uint64_t tag)
     {
-        return visit([&](auto &p) { return p.evictFill(set); });
+        return visit([&](auto &p) { return p.evictFill(set, tag); });
     }
 
     unsigned
@@ -930,9 +848,9 @@ class PolicySet
     {
         switch (type) {
           case PolicyType::LRU:
-            return RecencySets<false>(num_sets, assoc, rng);
+            return LruSets(num_sets, assoc, rng);
           case PolicyType::MRU:
-            return RecencySets<true>(num_sets, assoc, rng);
+            return MruSets(num_sets, assoc, rng);
           case PolicyType::FIFO:
             return FifoSets(num_sets, assoc, rng);
           case PolicyType::LFU:

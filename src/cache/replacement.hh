@@ -1,17 +1,14 @@
 /**
  * @file
- * Replacement-policy framework: one policy instance manages the
- * metadata of one cache set. The adaptive cache (src/core) composes
- * any two (or more) of these, per Sec. 2 of the paper.
+ * Replacement-policy names and costs. The adaptive cache (src/core)
+ * composes any two (or more) of these policies, per Sec. 2 of the
+ * paper; cache/policy_sets.hh implements them.
  */
 
 #ifndef ADCACHE_CACHE_REPLACEMENT_HH
 #define ADCACHE_CACHE_REPLACEMENT_HH
 
-#include <memory>
 #include <string>
-
-#include "util/rng.hh"
 
 namespace adcache
 {
@@ -40,56 +37,6 @@ const char *policyName(PolicyType type);
  * of Sec. 3 (e.g. log2(assoc) recency bits for LRU, 5 for LFU).
  */
 unsigned policyMetaBits(PolicyType type, unsigned assoc);
-
-/**
- * Replacement metadata and victim selection for a single cache set.
- *
- * The owning structure reports block activity through onFill/onHit/
- * onInvalidate and asks for a victim way when the set is full. A
- * policy never sees addresses — only way indices — which is exactly
- * the information a hardware implementation holds.
- */
-class ReplacementPolicy
-{
-  public:
-    virtual ~ReplacementPolicy() = default;
-
-    /** A block was inserted into @p way. */
-    virtual void onFill(unsigned way) = 0;
-
-    /** The block in @p way was referenced and hit. */
-    virtual void onHit(unsigned way) = 0;
-
-    /** The block in @p way was invalidated/emptied. */
-    virtual void onInvalidate(unsigned way) = 0;
-
-    /**
-     * Choose the way to evict. Only called when every way is valid;
-     * empty ways are filled directly by the owner.
-     */
-    virtual unsigned victim() = 0;
-
-    /**
-     * Preview the victim without mutating internal state. Stateless
-     * for every policy except Random, which returns the way its next
-     * victim() call would evict.
-     */
-    virtual unsigned peekVictim() const = 0;
-
-    /** Number of ways this instance manages. */
-    virtual unsigned assoc() const = 0;
-};
-
-/**
- * Create one set's worth of policy state.
- *
- * @param type  which algorithm.
- * @param assoc set associativity.
- * @param rng   shared generator for stochastic policies (may be null
- *              for deterministic policies).
- */
-std::unique_ptr<ReplacementPolicy>
-makePolicy(PolicyType type, unsigned assoc, Rng *rng);
 
 } // namespace adcache
 

@@ -107,8 +107,8 @@ SbarCache::accessImpl(PolicyA &pa, PolicyB &pb, Addr addr,
     const unsigned way = tags_.lookup(set, tag);
     if (way != TagArray::kNoWay) {
         ++stats_.hits;
-        policyOnHit(pa, set, way, tag);
-        policyOnHit(pb, set, way, tag);
+        pa.onHit(set, way, tag);
+        pb.onHit(set, way, tag);
         if (is_write)
             tags_.markDirty(set, way);
         result.hit = true;
@@ -157,8 +157,8 @@ SbarCache::accessImpl(PolicyA &pa, PolicyB &pb, Addr addr,
     }
 
     tags_.fill(set, fill_way, tag);
-    policyOnFill(pa, set, fill_way, tag);
-    policyOnFill(pb, set, fill_way, tag);
+    pa.onFill(set, fill_way, tag);
+    pb.onFill(set, fill_way, tag);
     if (is_write)
         tags_.markDirty(set, fill_way);
     return result;

@@ -143,7 +143,7 @@ class ShadowCache
             // With partial tags this may be a false-positive match
             // for a different block; the component simulation simply
             // proceeds as if it were a hit (Sec. 3.1).
-            policyOnHit(policy, set, way, tag);
+            policy.onHit(set, way, tag);
             return out;
         }
 
@@ -159,11 +159,11 @@ class ShadowCache
                     return out;
                 }
             }
-            fill_way = policyEvictFill(policy, set, tag);
+            fill_way = policy.evictFill(set, tag);
             out.evicted = true;
             out.evictedTag = tags_.tag(set, fill_way);
         } else {
-            policyOnFill(policy, set, fill_way, tag);
+            policy.onFill(set, fill_way, tag);
         }
         tags_.fill(set, fill_way, tag);
         return out;

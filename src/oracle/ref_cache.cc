@@ -122,7 +122,7 @@ RefCache::access(Addr addr, bool is_write)
         ++evictions_;
         if (ways[fill].dirty)
             ++writebacks_;
-        policy.onInvalidate(fill);
+        policy.onEvict(fill);
     }
 
     ways[fill] = Way{tag, true, is_write};

@@ -4,6 +4,7 @@
 #include <list>
 #include <vector>
 
+#include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace adcache
@@ -146,6 +147,103 @@ class CounterLfuPolicy : public RefPolicy
     std::uint64_t clock_ = 0;
 };
 
+/**
+ * Tree pseudo-LRU as an explicit binary tree of bools, stored
+ * heap-style: node n has children 2n+1 and 2n+2, the assoc-1 internal
+ * nodes come first and leaf assoc-1+w is way w. Each internal node
+ * says which of its subtrees holds the victim. A touch climbs from the
+ * way's leaf to the root, pointing every node on the way at the
+ * subtree the climb did not come from.
+ */
+class TreePlruPolicy : public RefPolicy
+{
+  public:
+    explicit TreePlruPolicy(unsigned assoc)
+        : assoc_(assoc), victimRight_(assoc - 1, false)
+    {
+        adcache_assert(assoc >= 1 && isPowerOfTwo(assoc));
+    }
+
+    void onFill(unsigned way) override { touch(way); }
+    void onHit(unsigned way) override { touch(way); }
+    void onInvalidate(unsigned) override {}
+
+    unsigned
+    victim() const override
+    {
+        unsigned node = 0;
+        while (node < assoc_ - 1)
+            node = victimRight_[node] ? 2 * node + 2 : 2 * node + 1;
+        return node - (assoc_ - 1);
+    }
+
+    unsigned assoc() const override { return assoc_; }
+
+  private:
+    void
+    touch(unsigned way)
+    {
+        unsigned node = assoc_ - 1 + way;
+        while (node > 0) {
+            const unsigned parent = (node - 1) / 2;
+            const bool from_right = node == 2 * parent + 2;
+            victimRight_[parent] = !from_right;
+            node = parent;
+        }
+    }
+
+    unsigned assoc_;
+    std::vector<bool> victimRight_;
+};
+
+/**
+ * Static RRIP with plain integer re-reference predictions: 2 on a
+ * fill, 0 on a hit, 3 ("distant") for an empty way. The victim is the
+ * lowest way with the largest prediction. Evicting ages every way by
+ * the amount that brings that largest prediction up to 3.
+ */
+class SrripPolicy : public RefPolicy
+{
+  public:
+    static constexpr unsigned distant = 3;
+
+    explicit SrripPolicy(unsigned assoc)
+        : assoc_(assoc), rrpv_(assoc, distant)
+    {
+        adcache_assert(assoc >= 1);
+    }
+
+    void onFill(unsigned way) override { rrpv_.at(way) = distant - 1; }
+    void onHit(unsigned way) override { rrpv_.at(way) = 0; }
+    void onInvalidate(unsigned way) override { rrpv_.at(way) = distant; }
+
+    void
+    onEvict(unsigned way) override
+    {
+        const unsigned age =
+            distant - *std::max_element(rrpv_.begin(), rrpv_.end());
+        for (unsigned &r : rrpv_)
+            r += age;
+        onInvalidate(way);
+    }
+
+    unsigned
+    victim() const override
+    {
+        unsigned best = 0;
+        for (unsigned w = 1; w < assoc_; ++w)
+            if (rrpv_[w] > rrpv_[best])
+                best = w;
+        return best;
+    }
+
+    unsigned assoc() const override { return assoc_; }
+
+  private:
+    unsigned assoc_;
+    std::vector<unsigned> rrpv_;
+};
+
 } // namespace
 
 bool
@@ -156,6 +254,8 @@ refPolicySupported(PolicyType type)
       case PolicyType::MRU:
       case PolicyType::FIFO:
       case PolicyType::LFU:
+      case PolicyType::TreePLRU:
+      case PolicyType::SRRIP:
       case PolicyType::CmsLfu:
         return true;
       default:
@@ -178,6 +278,10 @@ makeRefPolicy(PolicyType type, unsigned assoc)
                                              assoc);
       case PolicyType::LFU:
         return std::make_unique<CounterLfuPolicy>(assoc);
+      case PolicyType::TreePLRU:
+        return std::make_unique<TreePlruPolicy>(assoc);
+      case PolicyType::SRRIP:
+        return std::make_unique<SrripPolicy>(assoc);
       case PolicyType::CmsLfu:
         // Supported, but its sets share one sketch: RefCache builds
         // it per set through makeRefCmsLfuPolicy (ref_sketch.hh).

@@ -4,15 +4,15 @@
  *
  * These are deliberately naive re-implementations of the replacement
  * policies, written in the most obviously-correct style available:
- * LRU/FIFO/MRU as explicit stacks (ordered lists of ways) and LFU as
- * plain integer counters. They share no code with the production
- * policies in cache/policies.cc — the production code encodes the
- * same orders as per-way stamps and saturating counters — so a bug
+ * LRU/FIFO/MRU as explicit stacks (ordered lists of ways), LFU and
+ * SRRIP as plain integers, and tree PLRU as an explicit tree of
+ * bools. They share no code with the production policies in
+ * cache/policy_sets.hh — the production code encodes the same orders
+ * as packed stamps, saturating counters and tree bit words — so a bug
  * in either implementation shows up as a lockstep divergence.
  *
- * Stochastic and heuristic policies (Random, TreePLRU, SRRIP) have no
- * reference model; refPolicySupported() reports which types can be
- * oracle-checked.
+ * Random is the only policy without a reference model;
+ * refPolicySupported() reports which types can be oracle-checked.
  */
 
 #ifndef ADCACHE_ORACLE_REF_POLICY_HH
@@ -27,10 +27,11 @@ namespace adcache
 {
 
 /**
- * Reference model of one set's replacement metadata. Same event
- * interface as the production ReplacementPolicy, but victim() is
- * const: every reference model is a pure function of the event
- * history.
+ * Reference model of one set's replacement metadata, driven by the
+ * same fill, hit and invalidate events as the production policies.
+ * victim() is const: every reference model is a pure function of the
+ * event history, and state that the production policy changes while
+ * choosing a victim (SRRIP's aging) changes in onEvict() instead.
  */
 class RefPolicy
 {
@@ -40,6 +41,13 @@ class RefPolicy
     virtual void onFill(unsigned way) = 0;
     virtual void onHit(unsigned way) = 0;
     virtual void onInvalidate(unsigned way) = 0;
+
+    /**
+     * The owner evicted @p way, the victim() it just chose, to refill
+     * it. Owners call this only where production lets the policy pick
+     * the victim itself.
+     */
+    virtual void onEvict(unsigned way) { onInvalidate(way); }
 
     /**
      * Tag-carrying variants for policies whose metadata derives from

@@ -158,9 +158,12 @@ RefSbarCache::access(Addr addr, bool is_write)
                                 winner == 0 ? out_a : out_b);
         } else {
             // Follower: run the selected component on whatever blocks
-            // are currently resident.
-            fill = globalChoice() == 0 ? metaA_[set]->victim()
-                                       : metaB_[set]->victim();
+            // are currently resident. Only that component chose the
+            // victim, so only it sees the eviction.
+            RefPolicy &chosen =
+                globalChoice() == 0 ? *metaA_[set] : *metaB_[set];
+            fill = chosen.victim();
+            chosen.onEvict(fill);
         }
         out.evicted = true;
         out.evictedBlock = g.blockAddr(set, ways[fill].tag);

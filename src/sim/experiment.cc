@@ -1,5 +1,6 @@
 #include "sim/experiment.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -20,9 +21,12 @@ parseInstrBudget(const char *text, InstCount fallback)
         warn("ignoring malformed ADCACHE_INSTRS='%s'", text);
         return fallback;
     }
+    // Out-of-range input clamps to ULLONG_MAX with ERANGE; a budget
+    // that large never finishes, so reject it too.
     char *end = nullptr;
+    errno = 0;
     const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end && *end == '\0' && v > 0)
+    if (end && *end == '\0' && v > 0 && errno != ERANGE)
         return InstCount(v);
     warn("ignoring malformed ADCACHE_INSTRS='%s'", text);
     return fallback;

@@ -1,7 +1,8 @@
-#include "cache/replacement.hh"
+#include "cache/policy_sets.hh"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "util/bits.hh"
@@ -10,6 +11,31 @@ namespace adcache
 {
 namespace
 {
+
+/** One set of a PolicySet, driven with way-only events. */
+class OneSet
+{
+  public:
+    OneSet(PolicyType type, unsigned assoc, Rng *rng)
+        : sets_(type, 1, assoc, rng)
+    {
+    }
+
+    void onFill(unsigned way) { sets_.onFill(0, way, 0); }
+    void onHit(unsigned way) { sets_.onHit(0, way, 0); }
+    void onInvalidate(unsigned way) { sets_.onInvalidate(0, way); }
+    unsigned victim() { return sets_.victim(0); }
+    unsigned peekVictim() const { return sets_.peekVictim(0); }
+
+  private:
+    PolicySet sets_;
+};
+
+std::unique_ptr<OneSet>
+makePolicy(PolicyType type, unsigned assoc, Rng *rng)
+{
+    return std::make_unique<OneSet>(type, assoc, rng);
+}
 
 TEST(PolicyFactory, ParseNames)
 {

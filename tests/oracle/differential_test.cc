@@ -46,7 +46,8 @@ TEST(Differential, PlainCachesMatchTheirOracles)
 {
     for (PolicyType p : {PolicyType::LRU, PolicyType::FIFO,
                          PolicyType::MRU, PolicyType::LFU,
-                         PolicyType::CmsLfu}) {
+                         PolicyType::CmsLfu, PolicyType::TreePLRU,
+                         PolicyType::SRRIP}) {
         CacheConfig config;
         config.sizeBytes = 16 * 64 * 4;  // 16 sets x 4 ways
         config.assoc = 4;
@@ -73,6 +74,8 @@ TEST(Differential, AdaptiveDualsMatchAlgorithmOne)
         {PolicyType::FIFO, PolicyType::LFU, 0, false},
         {PolicyType::LRU, PolicyType::LFU, 8, false},
         {PolicyType::LRU, PolicyType::LFU, 4, true},
+        {PolicyType::TreePLRU, PolicyType::SRRIP, 0, false},
+        {PolicyType::SRRIP, PolicyType::LFU, 8, false},
     };
     for (const Case &c : cases) {
         AdaptiveConfig config = AdaptiveConfig::dual(
@@ -89,8 +92,8 @@ TEST(Differential, AdaptiveDualsMatchAlgorithmOne)
 
 TEST(Differential, MultiPolicyAdaptiveMatches)
 {
-    // Three- and four-policy configs; Random/PLRU/SRRIP have no
-    // reference model, so the five-policy paper config is excluded.
+    // Three- and four-policy configs; Random has no reference model,
+    // so the five-policy paper config is excluded.
     AdaptiveConfig three = AdaptiveConfig::dual(
         PolicyType::LRU, PolicyType::LFU, 8 * 64 * 4, 4);
     three.policies = {PolicyType::LRU, PolicyType::LFU,
@@ -178,6 +181,16 @@ TEST(Differential, SbarLeadersAndFollowersMatch)
     // Same pairing with partial-tag leader shadows.
     config.partialTagBits = 8;
     shape.partialTagBits = 8;
+    expectAgreement(makeSbarPair(config), shape, 8000);
+
+    // SRRIP on either side: a follower eviction ages only the
+    // component that chose the victim.
+    config.partialTagBits = 0;
+    shape.partialTagBits = 0;
+    config.policyA = PolicyType::SRRIP;
+    expectAgreement(makeSbarPair(config), shape, 8000);
+    config.policyA = PolicyType::LRU;
+    config.policyB = PolicyType::SRRIP;
     expectAgreement(makeSbarPair(config), shape, 8000);
 }
 

@@ -71,7 +71,8 @@ TEST(FuzzDifferential, PlainCaches)
     std::uint64_t offset = 0;
     for (PolicyType p : {PolicyType::LRU, PolicyType::FIFO,
                          PolicyType::MRU, PolicyType::LFU,
-                         PolicyType::CmsLfu}) {
+                         PolicyType::CmsLfu, PolicyType::TreePLRU,
+                         PolicyType::SRRIP}) {
         CacheConfig config;
         config.sizeBytes = 16 * 64 * 4;
         config.assoc = 4;

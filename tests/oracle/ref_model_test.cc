@@ -28,8 +28,8 @@ TEST(RefPolicy, SupportMatrix)
     EXPECT_TRUE(refPolicySupported(PolicyType::FIFO));
     EXPECT_TRUE(refPolicySupported(PolicyType::MRU));
     EXPECT_FALSE(refPolicySupported(PolicyType::Random));
-    EXPECT_FALSE(refPolicySupported(PolicyType::TreePLRU));
-    EXPECT_FALSE(refPolicySupported(PolicyType::SRRIP));
+    EXPECT_TRUE(refPolicySupported(PolicyType::TreePLRU));
+    EXPECT_TRUE(refPolicySupported(PolicyType::SRRIP));
 }
 
 TEST(RefPolicy, LruStackOrder)
@@ -81,6 +81,43 @@ TEST(RefPolicy, LfuCountsAndTieBreak)
     p->onHit(2);
     // All tied at 2: oldest fill (way 0) loses.
     EXPECT_EQ(p->victim(), 0u);
+}
+
+TEST(RefPolicy, TreePlruPointsAwayFromTouchedHalf)
+{
+    auto p = makeRefPolicy(PolicyType::TreePLRU, 8);
+    for (unsigned w = 0; w < 8; ++w)
+        p->onFill(w);
+    EXPECT_EQ(p->victim(), 0u) << "in-order fills leave way 0 oldest";
+    p->onHit(0);
+    // Every node on way 0's path now points away from it: the root
+    // to ways 4..7, and that half's older quarter (4, 5) to way 4.
+    EXPECT_EQ(p->victim(), 4u);
+    p->onHit(4);
+    // The root flips back to ways 0..3, whose node points away from
+    // way 0's quarter, to the older way of 2 and 3.
+    EXPECT_EQ(p->victim(), 2u);
+}
+
+TEST(RefPolicy, SrripAgesEveryWayOnEvict)
+{
+    auto p = makeRefPolicy(PolicyType::SRRIP, 4);
+    for (unsigned w = 0; w < 4; ++w)
+        p->onFill(w);
+    p->onHit(1);
+    p->onHit(2);
+    p->onHit(3);
+    // Predictions {2, 0, 0, 0}.
+    ASSERT_EQ(p->victim(), 0u);
+    p->onEvict(0); // ages every way by 1: {3, 1, 1, 1}
+    p->onFill(0);
+    p->onHit(0);
+    // {0, 1, 1, 1}: without the aging, way 0 would tie at 0 and win.
+    EXPECT_EQ(p->victim(), 1u);
+    p->onEvict(1); // ages by 2: {2, 3, 3, 3}
+    p->onFill(1);
+    // {2, 2, 3, 3}: ways 2 and 3 reached the distant prediction.
+    EXPECT_EQ(p->victim(), 2u);
 }
 
 TEST(RefHistory, WindowEvictsOldestMask)

@@ -28,6 +28,9 @@ TEST(Experiment, ParseBudgetRejectsMalformed)
     EXPECT_EQ(parseInstrBudget("-5", 3'000'000), 3'000'000u);
     EXPECT_EQ(parseInstrBudget("+5", 3'000'000), 3'000'000u);
     EXPECT_EQ(parseInstrBudget(" 5", 3'000'000), 3'000'000u);
+    // Beyond 2^64: strtoull would clamp it to a budget that never ends.
+    EXPECT_EQ(parseInstrBudget("99999999999999999999", 3'000'000),
+              3'000'000u);
 }
 
 TEST(Experiment, BudgetIsParsedOnce)
