@@ -399,16 +399,13 @@ runKvReadRows(std::size_t total_ops, unsigned reps)
 constexpr std::size_t kBatchDepth = 16;
 
 /**
- * The shard-grouped multi-get row: the kv-read workload shape (same
- * Zipf(0.99) key population) driven single-threaded as getMany
- * batches of kBatchDepth, with the serial get loop over the
- * identical key program measured in the same run — the
- * speedup_vs_serial stat and the --check floor come from that
- * in-run pair, so they hold on any machine. Four shards, not the
- * kv-read rows' sixteen: the batch path amortises per-group work
- * (epoch guard, timer, possible mutex window), so its win scales
- * with keys-per-group — a depth-16 batch over 16 shards degenerates
- * to one key per group and only pays the grouping overhead.
+ * The multi-get row: the kv-read workload shape (same Zipf(0.99) key
+ * population) driven single-threaded as getMany batches of
+ * kBatchDepth, with the serial get loop over the identical key
+ * program measured in the same run — the speedup_vs_serial stat and
+ * the --check floor come from that in-run pair, so they hold on any
+ * machine. The batch amortises one epoch guard and one timer over
+ * its keys, whatever shards they map to.
  */
 std::vector<Measurement>
 runKvMgetRow(std::size_t total_ops, unsigned reps)
@@ -840,12 +837,10 @@ check(const std::vector<Measurement> &measured,
                      "measurement — failing closed\n");
         ++failures;
     } else {
-        // Single-threaded, hit-dominated, uncontended: getMany's
-        // structural win (one mutex window per shard group on the
-        // slow path) is not exercised here, and what it saves per
-        // key (epoch guard amortisation) roughly cancels against
-        // the grouping bookkeeping. The floor demands parity within
-        // the run-to-run noise envelope, not a win.
+        // Single-threaded, hit-dominated, uncontended: what a batch
+        // saves per key is epoch guard and timer amortisation. The
+        // floor demands parity within the run-to-run noise envelope,
+        // not a win.
         constexpr double kMgetFloor = 0.90;
         const bool bad = mget->speedup < kMgetFloor;
         std::fprintf(stderr,

@@ -100,8 +100,32 @@ AdaptiveKvCache::shardOf(KvKey key) const
     return unsigned(hashOf(key) & shardMask_);
 }
 
+void
+AdaptiveKvCache::ShardMutex::lock()
+{
+    for (unsigned i = 0; i < kSpinRounds; ++i) {
+        if (mtx_.try_lock())
+            return;
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#elif defined(__aarch64__)
+        asm volatile("yield");
+#endif
+    }
+    mtx_.lock();
+}
+
 std::optional<std::string>
 AdaptiveKvCache::get(KvKey key)
+{
+    std::string value;
+    if (!getInto(key, &value))
+        return std::nullopt;
+    return value;
+}
+
+bool
+AdaptiveKvCache::getInto(KvKey key, std::string *out)
 {
     ScopedOpTimer timer(obs::KvOp::Get);
     const std::uint64_t h = hashOf(key);
@@ -110,20 +134,23 @@ AdaptiveKvCache::get(KvKey key)
 
     unsigned retries = 0;
     if (shard.lockFreeEnabled()) {
-        std::string value;
         auto result = KvShard::ProbeResult::NeedSlow;
         {
             // The guard scope ends before any mutex wait so a
             // blocked reader never stalls epoch advancement.
             EpochGuard guard;
-            if (guard.engaged())
-                result = shard.tryProbe(key, h, &value, &retries);
+            if (guard.engaged()) {
+                const std::string *v = nullptr;
+                result = shard.tryProbe(key, h, &v, &retries);
+                if (result == KvShard::ProbeResult::Hit)
+                    out->append(*v);
+            }
         }
         switch (result) {
           case KvShard::ProbeResult::Hit:
-            return value;
+            return true;
           case KvShard::ProbeResult::Miss:
-            return std::nullopt;
+            return false;
           case KvShard::ProbeResult::NeedSlow:
             timer.reclass(obs::KvOp::GetSlow);
             break;
@@ -133,117 +160,72 @@ AdaptiveKvCache::get(KvKey key)
     std::scoped_lock lock(locks_[s]);
     const std::string *v = shard.probe(key, h, retries);
     if (!v)
-        return std::nullopt;
-    return *v;
+        return false;
+    out->append(*v);
+    return true;
+}
+
+std::size_t
+AdaptiveKvCache::probeMany(
+    std::span<const KvKey> keys,
+    FunctionRef<void(std::size_t, const std::string *)> visit)
+{
+    const std::size_t n = keys.size();
+    if (n == 0)
+        return 0;
+    ScopedOpTimer timer(obs::KvOp::GetMany);
+    std::size_t hits = 0;
+    std::size_t i = 0;
+    while (i < n) {
+        // One epoch guard covers the run of keys up to the first
+        // that needs the mutex; keys resolve in request order, so
+        // promotion order is the serial replay's.
+        unsigned retries = 0;
+        {
+            EpochGuard guard;
+            for (; i < n && guard.engaged(); ++i) {
+                const std::uint64_t h = hashOf(keys[i]);
+                KvShard &shard = *shards_[h & shardMask_];
+                if (!shard.lockFreeEnabled()) {
+                    retries = 0;
+                    break;
+                }
+                const std::string *v = nullptr;
+                const auto result =
+                    shard.tryProbe(keys[i], h, &v, &retries);
+                if (result == KvShard::ProbeResult::NeedSlow)
+                    break;
+                if (result == KvShard::ProbeResult::Miss)
+                    v = nullptr;
+                visit(i, v);
+                hits += v != nullptr;
+            }
+        }
+        if (i == n)
+            break;
+        // keys[i] takes the slow path, after the guard scope so a
+        // blocked batch never stalls epoch advancement.
+        const std::uint64_t h = hashOf(keys[i]);
+        const unsigned s = unsigned(h & shardMask_);
+        std::scoped_lock lock(locks_[s]);
+        const std::string *v = shards_[s]->probe(keys[i], h, retries);
+        visit(i, v);
+        hits += v != nullptr;
+        ++i;
+    }
+    return hits;
 }
 
 std::size_t
 AdaptiveKvCache::getMany(std::span<const KvKey> keys,
                          std::optional<std::string> *out)
 {
-    const std::size_t n = keys.size();
-    if (n == 0)
-        return 0;
-    if (n == 1) {
-        out[0] = get(keys[0]);
-        return out[0].has_value() ? 1 : 0;
-    }
-    ScopedOpTimer timer(obs::KvOp::GetMany);
-
-    // Scratch: key hashes, a to-do index list, the current shard
-    // group, per-member slow-path flags and retry counts. Stack for
-    // the common pipeline depths, one heap block beyond.
-    constexpr std::size_t kStackBatch = 64;
-    struct Scratch
-    {
-        std::uint64_t h;
-        std::uint32_t todo;
-        std::uint32_t group;
-        std::uint32_t retries;
-        bool slow; //!< group member j still needs the mutex
-    };
-    Scratch stack[kStackBatch];
-    std::vector<Scratch> heap;
-    Scratch *sc = stack;
-    if (n > kStackBatch) {
-        heap.resize(n);
-        sc = heap.data();
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        sc[i].h = hashOf(keys[i]);
-        sc[i].todo = std::uint32_t(i);
+    for (std::size_t i = 0; i < keys.size(); ++i)
         out[i].reset();
-    }
-
-    std::size_t hits = 0;
-    std::size_t remaining = n;
-    while (remaining > 0) {
-        // Peel the first pending key's shard group off the to-do
-        // list; both the group and the remainder keep their relative
-        // order, so within-shard processing order matches a serial
-        // replay of the batch.
-        const unsigned s = unsigned(sc[sc[0].todo].h & shardMask_);
-        std::size_t m = 0, rest = 0;
-        for (std::size_t i = 0; i < remaining; ++i) {
-            const std::uint32_t idx = sc[i].todo;
-            if (unsigned(sc[idx].h & shardMask_) == s)
-                sc[m++].group = idx;
-            else
-                sc[rest++].todo = idx;
-        }
-        remaining = rest;
-
-        KvShard &shard = *shards_[s];
-        bool need_lock = true;
-        if (shard.lockFreeEnabled()) {
-            need_lock = false;
-            // One epoch guard covers the whole shard group.
-            EpochGuard guard;
-            std::string value;
-            for (std::size_t j = 0; j < m; ++j) {
-                const std::uint32_t idx = sc[j].group;
-                if (!guard.engaged()) {
-                    sc[j].slow = true;
-                    sc[idx].retries = 0;
-                    need_lock = true;
-                    continue;
-                }
-                unsigned retries = 0;
-                const auto result = shard.tryProbe(
-                    keys[idx], sc[idx].h, &value, &retries);
-                sc[idx].retries = retries;
-                sc[j].slow = result == KvShard::ProbeResult::NeedSlow;
-                need_lock |= sc[j].slow;
-                if (result == KvShard::ProbeResult::Hit) {
-                    out[idx].emplace(std::move(value));
-                    ++hits;
-                }
-            }
-        } else {
-            for (std::size_t j = 0; j < m; ++j) {
-                sc[j].slow = true;
-                sc[sc[j].group].retries = 0;
-            }
-        }
-        if (!need_lock)
-            continue;
-        // One mutex window (after the guard scope, so a blocked
-        // batch never stalls epoch advancement) resolves every
-        // deferred member in group order.
-        std::scoped_lock lock(locks_[s]);
-        for (std::size_t j = 0; j < m; ++j) {
-            if (!sc[j].slow)
-                continue;
-            const std::uint32_t idx = sc[j].group;
-            const std::string *v = shard.probe(
-                keys[idx], sc[idx].h, sc[idx].retries);
-            if (v) {
-                out[idx].emplace(*v);
-                ++hits;
-            }
-        }
-    }
-    return hits;
+    return probeMany(keys, [out](std::size_t i, const std::string *v) {
+        if (v)
+            out[i].emplace(*v);
+    });
 }
 
 std::vector<std::optional<std::string>>
@@ -255,18 +237,24 @@ AdaptiveKvCache::getMany(std::span<const KvKey> keys)
 }
 
 std::string
-AdaptiveKvCache::fetch(KvKey key,
-                       const std::function<std::string()> &loader,
+AdaptiveKvCache::fetch(KvKey key, FunctionRef<std::string()> loader,
                        std::uint64_t ttl)
+{
+    std::string value;
+    fetchInto(key, loader, &value, ttl);
+    return value;
+}
+
+void
+AdaptiveKvCache::fetchInto(KvKey key, FunctionRef<std::string()> loader,
+                           std::string *out, std::uint64_t ttl)
 {
     ScopedOpTimer timer(obs::KvOp::Fetch);
     const std::uint64_t h = hashOf(key);
     const unsigned s = unsigned(h & shardMask_);
-    std::string value;
     std::scoped_lock lock(locks_[s]);
     shards_[s]->reference(key, h, loader, /*overwrite=*/false,
-                          /*pin=*/false, &value, ttl);
-    return value;
+                          /*pin=*/false, out, ttl);
 }
 
 KvOutcome
@@ -276,9 +264,11 @@ AdaptiveKvCache::put(KvKey key, std::string_view value, bool pinned,
     ScopedOpTimer timer(obs::KvOp::Put);
     const std::uint64_t h = hashOf(key);
     const unsigned s = unsigned(h & shardMask_);
+    // Built before the lock: the critical section only moves it.
+    std::string owned(value);
     std::scoped_lock lock(locks_[s]);
     return shards_[s]->reference(
-        key, h, [&] { return std::string(value); },
+        key, h, [&] { return std::move(owned); },
         /*overwrite=*/true, pinned, nullptr, ttl);
 }
 

@@ -25,7 +25,6 @@
 #define ADCACHE_KV_ADAPTIVE_KV_CACHE_HH
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -36,6 +35,7 @@
 
 #include "kv/kv_shard.hh"
 #include "kv/kv_types.hh"
+#include "util/function_ref.hh"
 
 namespace adcache::obs
 {
@@ -57,16 +57,25 @@ class AdaptiveKvCache
     /** Non-filling probe; promotes the entry on a hit. */
     std::optional<std::string> get(KvKey key);
 
+    /** get() that appends a hit's value to @p out instead of
+     *  returning a copy. @return true on a hit. */
+    bool getInto(KvKey key, std::string *out);
+
     /**
-     * Batched non-filling probe: resolves keys[i] into out[i]
-     * exactly as keys.size() serial get() calls would, but groups
-     * the keys by shard first so each shard group pays for one epoch
-     * guard, one latency sample, and (when any key needs the slow
-     * path) one mutex acquisition instead of one per key. Keys keep
-     * their relative order within a shard group, so promotion order
-     * matches the serial replay. Duplicates are fine.
+     * Batched non-filling probe: calls visit(i, value) for every
+     * keys[i], in order, exactly as keys.size() serial get() calls
+     * would resolve them (value is null on a miss). One epoch guard
+     * and one latency sample cover the whole batch; a key that needs
+     * the slow path takes its shard mutex alone. @p visit runs under
+     * that guard or mutex — the value is only valid during the call
+     * — and must not call back into the cache. Duplicates are fine.
      * @return the number of hits.
      */
+    std::size_t
+    probeMany(std::span<const KvKey> keys,
+              FunctionRef<void(std::size_t, const std::string *)> visit);
+
+    /** probeMany() into out[i] (nullopt on a miss). */
     std::size_t getMany(std::span<const KvKey> keys,
                         std::optional<std::string> *out);
 
@@ -80,12 +89,17 @@ class AdaptiveKvCache
      * admitted per Algorithm 1. @p ttl stamps a freshly admitted
      * entry with an expiry @p ttl clock ticks from now (0 = never).
      */
-    std::string fetch(KvKey key,
-                      const std::function<std::string()> &loader,
+    std::string fetch(KvKey key, FunctionRef<std::string()> loader,
                       std::uint64_t ttl = 0);
 
+    /** fetch() that appends the value to @p out: the shard lock
+     *  covers the table work and this one copy, nothing else. */
+    void fetchInto(KvKey key, FunctionRef<std::string()> loader,
+                   std::string *out, std::uint64_t ttl = 0);
+
     /** Insert or overwrite. @p pinned pins the entry; @p ttl stamps
-     *  (or, on overwrite, re-stamps) its expiry (0 = never). */
+     *  (or, on overwrite, re-stamps) its expiry (0 = never). The
+     *  value string is built before the shard lock is taken. */
     KvOutcome put(KvKey key, std::string_view value,
                   bool pinned = false, std::uint64_t ttl = 0);
 
@@ -167,10 +181,30 @@ class AdaptiveKvCache
     const KvConfig &config() const { return config_; }
 
   private:
-    /** A shard mutex alone on its cache line, so locking one shard
-     *  never bounces a line another shard's lockers use. */
-    struct alignas(64) ShardMutex : std::mutex
+    /**
+     * A shard mutex alone on its cache line, so locking one shard
+     * never bounces a line another shard's lockers use. A contended
+     * lock() retries try_lock for kSpinRounds pauses before it parks
+     * in the kernel: a shard critical section is table work only
+     * (hundreds of ns), far shorter than a futex sleep and wake-up.
+     */
+    class alignas(64) ShardMutex
     {
+      public:
+        /** Measured on serve-ycsb-a (two loopback clients, 8 s
+         *  runs, seeds 11-13, 4 shared vCPUs): request p99 was
+         *  12.8-15.2 µs with no spin, 5.5-6.6 µs at 100 rounds and
+         *  5.1-5.9 µs at 4000. The short bound keeps nearly all of
+         *  the gain while capping what a waiter burns when the
+         *  holder has been descheduled. */
+        static constexpr unsigned kSpinRounds = 100;
+
+        void lock();
+        bool try_lock() { return mtx_.try_lock(); }
+        void unlock() { mtx_.unlock(); }
+
+      private:
+        std::mutex mtx_;
     };
 
     std::uint64_t hashOf(KvKey key) const;

@@ -411,7 +411,7 @@ KvShard::unlinkEntry(KvEntry *e)
 
 KvOutcome
 KvShard::reference(KvKey key, std::uint64_t h,
-                   const std::function<std::string()> &make_value,
+                   FunctionRef<std::string()> make_value,
                    bool overwrite, bool pin, std::string *value_out,
                    std::uint64_t ttl)
 {
@@ -479,7 +479,7 @@ KvShard::reference(KvKey key, std::uint64_t h,
                 pinned_.fetch_add(1, std::memory_order_seq_cst);
         }
         if (value_out)
-            *value_out = *e->value.load(std::memory_order_seq_cst);
+            value_out->append(*e->value.load(std::memory_order_seq_cst));
         return out;
     }
 
@@ -530,7 +530,7 @@ KvShard::reference(KvKey key, std::uint64_t h,
                                                   config_.shardIndex,
                                                   winner, key));
             if (value_out)
-                *value_out = make_value();
+                value_out->append(make_value());
             return out;
         }
 
@@ -543,7 +543,7 @@ KvShard::reference(KvKey key, std::uint64_t h,
             out.rejected = true;
             ++stats_.rejected;
             if (value_out)
-                *value_out = make_value();
+                value_out->append(make_value());
             return out;
         }
 
@@ -598,7 +598,7 @@ KvShard::reference(KvKey key, std::uint64_t h,
     ++stats_.inserts;
     out.inserted = true;
     if (value_out)
-        *value_out = *e->value.load(std::memory_order_relaxed);
+        value_out->append(*e->value.load(std::memory_order_relaxed));
     return out;
 }
 
@@ -631,7 +631,7 @@ KvShard::probe(KvKey key, std::uint64_t h, unsigned retries)
 
 KvShard::ProbeResult
 KvShard::tryProbe(KvKey key, std::uint64_t h,
-                  std::string *value_out, unsigned *retries_out)
+                  const std::string **value_out, unsigned *retries_out)
 {
     constexpr unsigned kMaxOptimism = 4;
     const unsigned bucket = bucketOf(h);
@@ -678,7 +678,7 @@ KvShard::tryProbe(KvKey key, std::uint64_t h,
         // load returns was the published value of `key` at some
         // point during the probe (the identity/ABA torture tests
         // pin down exactly this claim).
-        *value_out = *found->value.load(std::memory_order_seq_cst);
+        *value_out = found->value.load(std::memory_order_seq_cst);
         *retries_out = retries;
         gets_.fetch_add(1, std::memory_order_relaxed);
         getHits_.fetch_add(1, std::memory_order_relaxed);

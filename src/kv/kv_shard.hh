@@ -41,7 +41,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,6 +54,7 @@
 #include "kv/shadow_dir.hh"
 #include "obs/counter_table.hh"
 #include "obs/event.hh"
+#include "util/function_ref.hh"
 #include "util/rng.hh"
 
 namespace adcache::kv
@@ -137,15 +137,16 @@ class KvShard
      * @param overwrite on a hit, replace the stored value (put
      *                  semantics); false = fetch semantics.
      * @param pin       pin the entry (on insert or hit).
-     * @param value_out if non-null, receives the resident (or, when
-     *                  rejected, the freshly produced) value.
+     * @param value_out if non-null, the resident (or, when
+     *                  rejected, the freshly produced) value is
+     *                  appended to it.
      * @param ttl       expiry horizon in clock ticks (0 = never).
      *                  Stamped on insert and refreshed by overwriting
      *                  hits; an entry whose stamp has lapsed is
      *                  unlinked on contact and treated as a miss.
      */
     KvOutcome reference(KvKey key, std::uint64_t h,
-                        const std::function<std::string()> &make_value,
+                        FunctionRef<std::string()> make_value,
                         bool overwrite, bool pin,
                         std::string *value_out = nullptr,
                         std::uint64_t ttl = 0);
@@ -166,7 +167,7 @@ class KvShard
     /** What one optimistic (mutex-free) probe concluded. */
     enum class ProbeResult
     {
-        Hit,      //!< value copied out, entry's access mark set
+        Hit,      //!< value handed out, entry's access mark set
         Miss,     //!< validated miss
         NeedSlow, //!< conflicts exhausted the retry budget: take
                   //!< the mutex and call probe()
@@ -176,10 +177,12 @@ class KvShard
      * Lock-free probe attempt. Caller must hold an engaged
      * EpochGuard and must NOT hold the shard mutex. Only valid when
      * lockFreeEnabled(). Hits and validated misses are fully
-     * accounted here; NeedSlow defers to probe().
+     * accounted here; NeedSlow defers to probe(). On a hit,
+     * @p value_out points at the published value, which stays alive
+     * as long as the caller's guard.
      */
     ProbeResult tryProbe(KvKey key, std::uint64_t h,
-                         std::string *value_out,
+                         const std::string **value_out,
                          unsigned *retries_out);
 
     /**

@@ -40,12 +40,26 @@ RecencyList::remove(KvEntry *e)
 
 LfuLists::~LfuLists()
 {
-    FreqNode *n = nodes_;
-    while (n) {
-        FreqNode *next = n->next;
-        delete n;
-        n = next;
+    for (FreqNode *list : {nodes_, spare_}) {
+        while (list) {
+            FreqNode *next = list->next;
+            delete list;
+            list = next;
+        }
     }
+}
+
+FreqNode *
+LfuLists::newNode(std::uint32_t freq)
+{
+    FreqNode *node = spare_;
+    if (node)
+        spare_ = node->next;
+    else
+        node = new FreqNode;
+    *node = FreqNode{};
+    node->freq = freq;
+    return node;
 }
 
 void
@@ -84,7 +98,10 @@ LfuLists::detach(KvEntry *e)
             nodes_ = node->next;
         if (node->next)
             node->next->prev = node->prev;
-        delete node;
+        // Kept for reuse: a hit that opens a frequency class takes
+        // a spare node instead of a heap block under the shard lock.
+        node->next = spare_;
+        spare_ = node;
     }
 }
 
@@ -92,8 +109,7 @@ void
 LfuLists::onInsert(KvEntry *e)
 {
     if (!nodes_ || nodes_->freq != 1) {
-        auto *node = new FreqNode;
-        node->freq = 1;
+        FreqNode *node = newNode(1);
         node->next = nodes_;
         if (nodes_)
             nodes_->prev = node;
@@ -123,8 +139,7 @@ LfuLists::onHit(KvEntry *e)
         (node->next && node->next->freq == target_freq) ? node->next
                                                         : nullptr;
     if (!target) {
-        target = new FreqNode;
-        target->freq = target_freq;
+        target = newNode(target_freq);
         target->prev = node;
         target->next = node->next;
         if (node->next)

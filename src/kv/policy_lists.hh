@@ -198,10 +198,16 @@ class LfuLists
     bool empty() const { return nodes_ == nullptr; }
 
   private:
+    /** A node for class @p freq, reusing a spare one if any. */
+    FreqNode *newNode(std::uint32_t freq);
     void append(FreqNode *node, KvEntry *e);
     void detach(KvEntry *e);
 
     FreqNode *nodes_ = nullptr; //!< ascending frequency order
+    /** Emptied nodes, linked by next. Live and spare nodes
+     *  together never outnumber the most classes ever live at once,
+     *  at most kMaxFreq. */
+    FreqNode *spare_ = nullptr;
 };
 
 } // namespace adcache::kv

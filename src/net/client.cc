@@ -81,7 +81,7 @@ KvClient::writeAll(const char *data, std::size_t size)
 }
 
 bool
-KvClient::readFrame(std::string *body)
+KvClient::readFrame(std::string_view *body)
 {
     for (;;) {
         switch (responses_.next(body)) {
@@ -110,29 +110,37 @@ KvClient::readFrame(std::string *body)
     }
 }
 
-Message
-KvClient::fail(const std::string &why)
+bool
+KvClient::exchange(MessageView *response)
 {
-    close();
-    return Message::error(why);
+    if (fd_ < 0) {
+        if (lastError_.empty())
+            lastError_ = "not connected";
+        return false;
+    }
+    std::string_view body;
+    if (!writeAll(request_.data(), request_.size()) ||
+        !readFrame(&body)) {
+        close();
+        return false;
+    }
+    if (!decodeView(body, response)) {
+        close();
+        lastError_ = "undecodable response body";
+        return false;
+    }
+    return true;
 }
 
 Message
 KvClient::call(const Message &request)
 {
-    if (fd_ < 0)
-        return Message::error(lastError_.empty() ? "not connected"
-                                                 : lastError_);
-    const std::string frame = encodedFrame(request);
-    if (!writeAll(frame.data(), frame.size()))
-        return fail(lastError_);
-    std::string body;
-    if (!readFrame(&body))
-        return fail(lastError_);
-    Message resp;
-    if (!decodeBody(body, &resp))
-        return fail("undecodable response body");
-    return resp;
+    request_.clear();
+    encodeFrame(request, &request_);
+    MessageView resp;
+    if (!exchange(&resp))
+        return Message::error(lastError_);
+    return Message::from(resp);
 }
 
 std::size_t
@@ -151,14 +159,14 @@ KvClient::sendMany(const std::vector<Message> &requests,
         fail_rest(lastError_.empty() ? "not connected" : lastError_);
         return 0;
     }
-    std::string frames;
+    request_.clear();
     for (const Message &request : requests)
-        encodeFrame(request, &frames);
-    if (!writeAll(frames.data(), frames.size())) {
+        encodeFrame(request, &request_);
+    if (!writeAll(request_.data(), request_.size())) {
         fail_rest(lastError_);
         return 0;
     }
-    std::string body;
+    std::string_view body;
     for (std::size_t i = 0; i < requests.size(); ++i) {
         if (!readFrame(&body)) {
             fail_rest(lastError_);
@@ -172,66 +180,6 @@ KvClient::sendMany(const std::vector<Message> &requests,
         responses->push_back(std::move(resp));
     }
     return requests.size();
-}
-
-std::vector<std::optional<std::string>>
-KvClient::mget(const std::vector<std::uint64_t> &keys)
-{
-    std::vector<std::optional<std::string>> out(keys.size());
-    Message r = call(Message::mget(keys));
-    if (r.kind != MsgKind::Values ||
-        r.entries.size() != keys.size())
-        return out;
-    for (std::size_t i = 0; i < keys.size(); ++i)
-        if (r.entries[i].status == MGetStatus::Found)
-            out[i].emplace(std::move(r.entries[i].value));
-    return out;
-}
-
-std::optional<std::string>
-KvClient::get(std::uint64_t key)
-{
-    Message r = call(Message::get(key));
-    if (r.kind == MsgKind::Value)
-        return std::move(r.payload);
-    return std::nullopt;
-}
-
-bool
-KvClient::put(std::uint64_t key, std::string_view value,
-              std::uint32_t ttl)
-{
-    return call(Message::put(key, value, ttl)).kind == MsgKind::Ok;
-}
-
-bool
-KvClient::del(std::uint64_t key)
-{
-    return call(Message::del(key)).kind == MsgKind::Ok;
-}
-
-bool
-KvClient::ping()
-{
-    return call(Message::ping()).kind == MsgKind::Ok;
-}
-
-std::string
-KvClient::stats()
-{
-    Message r = call(Message::stats());
-    return r.kind == MsgKind::Value ? std::move(r.payload)
-                                    : std::string();
-}
-
-bool
-KvClient::stats2(std::uint16_t *shardCount,
-                 std::vector<StatSample> *samples)
-{
-    Message r = call(Message::stats2());
-    if (r.kind != MsgKind::StatsV2)
-        return false;
-    return decodeStatsV2(r.payload, shardCount, samples);
 }
 
 } // namespace adcache::net

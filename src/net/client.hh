@@ -12,25 +12,27 @@
  * All syscalls retry on EINTR; short reads/writes loop until the
  * frame completes. A torn connection (peer EOF mid-frame, ECONNRESET)
  * marks the client dead; every later call answers Error locally.
+ * Requests are encoded into a buffer reused across calls and
+ * responses decoded as views over the reader's buffer, so a typed
+ * call allocates only what it returns.
  */
 
 #ifndef ADCACHE_NET_CLIENT_HH
 #define ADCACHE_NET_CLIENT_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "net/calls.hh"
 #include "net/protocol.hh"
-#include "net/stats_v2.hh"
 
 namespace adcache::net
 {
 
 /** Blocking request/response socket client (see file comment). */
-class KvClient
+class KvClient final : public KvCalls
 {
   public:
     KvClient() = default;
@@ -69,33 +71,14 @@ class KvClient
     std::size_t sendMany(const std::vector<Message> &requests,
                          std::vector<Message> *responses);
 
-    /** Typed conveniences over call(). */
-    std::optional<std::string> get(std::uint64_t key);
-    bool put(std::uint64_t key, std::string_view value,
-             std::uint32_t ttl = 0);
-    bool del(std::uint64_t key);
-    bool ping();
-    std::string stats();
-
-    /** One Stats-v2 round trip, decoded. @return false on transport
-     *  failure, an Error response (pre-v2 server), or a malformed
-     *  blob — callers fall back to stats() text. */
-    bool stats2(std::uint16_t *shardCount,
-                std::vector<StatSample> *samples);
-
-    /** One MGet round trip: out[i] answers keys[i] (Found maps to a
-     *  value; Miss, per-key Error, and transport failure all map to
-     *  nullopt). */
-    std::vector<std::optional<std::string>>
-    mget(const std::vector<std::uint64_t> &keys);
-
     const std::string &lastError() const { return lastError_; }
 
   private:
+    bool exchange(MessageView *response) override;
     bool writeAll(const char *data, std::size_t size);
-    /** Read until the response FrameReader yields one frame. */
-    bool readFrame(std::string *body);
-    Message fail(const std::string &why);
+    /** Read until the response FrameReader yields one frame; the
+     *  body views the reader's buffer until the next read. */
+    bool readFrame(std::string_view *body);
 
     int fd_ = -1;
     FrameReader responses_;

@@ -1,6 +1,5 @@
 #include "net/loopback.hh"
 
-#include "net/stats_v2.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
 
@@ -8,13 +7,15 @@ namespace adcache::net
 {
 
 bool
-KvChannel::ingest(std::string_view bytes, std::string *out)
+KvChannel::ingest(std::string_view bytes, std::string *out,
+                  std::size_t out_limit)
 {
     if (dead_)
         return false;
-    reader_.feed(bytes);
-    std::string body;
-    for (;;) {
+    if (!bytes.empty())
+        reader_.feed(bytes);
+    std::string_view body;
+    while (out->size() < out_limit) {
         switch (reader_.next(&body)) {
           case FrameReader::Status::NeedMore:
             return true;
@@ -23,46 +24,69 @@ KvChannel::ingest(std::string_view bytes, std::string *out)
             return false;
           case FrameReader::Status::Frame: {
             ++requests_;
-            Message req;
+            MessageView req;
             bool ok;
             {
                 obs::ScopedSpan span("srv.decode");
-                ok = decodeBody(body, &req) &&
-                     isRequestKind(req.kind);
+                ok = decodeView(body, &req) && isRequestKind(req.kind);
             }
             if (!ok) {
                 // Request-fatal only: answer Error, keep framing.
-                encodeFrame(Message::error("malformed request"),
-                            out);
+                appendFrame(MsgKind::Error, "malformed request", out);
                 break;
             }
             obs::ScopedSpan span("srv.execute");
-            encodeFrame(service_.handle(req), out);
+            service_.serve(req, out);
             break;
           }
         }
     }
+    return true;
+}
+
+void
+LoopbackConnection::feed(std::size_t chunk)
+{
+    adcache_assert(!channel_.dead());
+    responses_.clear();
+    responsePos_ = 0;
+    if (chunk == 0) {
+        channel_.ingest(request_, &responses_);
+    } else {
+        for (std::size_t i = 0; i < request_.size(); i += chunk)
+            channel_.ingest(
+                std::string_view(request_).substr(i, chunk),
+                &responses_);
+    }
+}
+
+std::string_view
+LoopbackConnection::nextBody()
+{
+    std::string_view body;
+    const auto status = FrameReader::split(responses_, kMaxFrameBytes,
+                                           &responsePos_, &body);
+    adcache_assert(status == FrameReader::Status::Frame);
+    return body;
+}
+
+bool
+LoopbackConnection::exchange(MessageView *response)
+{
+    feed(0);
+    const bool ok = decodeView(nextBody(), response);
+    adcache_assert(ok);
+    return true;
 }
 
 Message
 LoopbackConnection::call(const Message &request, std::size_t chunk)
 {
-    adcache_assert(!channel_.dead());
-    const std::string frame = encodedFrame(request);
-    std::string out;
-    if (chunk == 0) {
-        channel_.ingest(frame, &out);
-    } else {
-        for (std::size_t i = 0; i < frame.size(); i += chunk)
-            channel_.ingest(
-                std::string_view(frame).substr(i, chunk), &out);
-    }
-    responses_.feed(out);
-    std::string body;
-    const auto status = responses_.next(&body);
-    adcache_assert(status == FrameReader::Status::Frame);
+    request_.clear();
+    encodeFrame(request, &request_);
+    feed(chunk);
     Message resp;
-    const bool ok = decodeBody(body, &resp);
+    const bool ok = decodeBody(nextBody(), &resp);
     adcache_assert(ok);
     return resp;
 }
@@ -71,91 +95,16 @@ std::vector<Message>
 LoopbackConnection::callMany(const std::vector<Message> &requests,
                              std::size_t chunk)
 {
-    adcache_assert(!channel_.dead());
-    std::string frames;
+    request_.clear();
     for (const Message &request : requests)
-        encodeFrame(request, &frames);
-    std::string out;
-    if (chunk == 0) {
-        channel_.ingest(frames, &out);
-    } else {
-        for (std::size_t i = 0; i < frames.size(); i += chunk)
-            channel_.ingest(
-                std::string_view(frames).substr(i, chunk), &out);
-    }
-    responses_.feed(out);
-    std::vector<Message> resps;
-    resps.reserve(requests.size());
-    std::string body;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const auto status = responses_.next(&body);
-        adcache_assert(status == FrameReader::Status::Frame);
-        Message resp;
-        const bool ok = decodeBody(body, &resp);
+        encodeFrame(request, &request_);
+    feed(chunk);
+    std::vector<Message> resps(requests.size());
+    for (Message &resp : resps) {
+        const bool ok = decodeBody(nextBody(), &resp);
         adcache_assert(ok);
-        resps.push_back(std::move(resp));
     }
     return resps;
-}
-
-std::vector<std::optional<std::string>>
-LoopbackConnection::mget(const std::vector<std::uint64_t> &keys)
-{
-    std::vector<std::optional<std::string>> out(keys.size());
-    Message r = call(Message::mget(keys));
-    if (r.kind != MsgKind::Values ||
-        r.entries.size() != keys.size())
-        return out;
-    for (std::size_t i = 0; i < keys.size(); ++i)
-        if (r.entries[i].status == MGetStatus::Found)
-            out[i].emplace(std::move(r.entries[i].value));
-    return out;
-}
-
-std::optional<std::string>
-LoopbackConnection::get(std::uint64_t key)
-{
-    Message r = call(Message::get(key));
-    if (r.kind == MsgKind::Value)
-        return std::move(r.payload);
-    return std::nullopt;
-}
-
-bool
-LoopbackConnection::put(std::uint64_t key, std::string_view value,
-                        std::uint32_t ttl)
-{
-    return call(Message::put(key, value, ttl)).kind == MsgKind::Ok;
-}
-
-bool
-LoopbackConnection::del(std::uint64_t key)
-{
-    return call(Message::del(key)).kind == MsgKind::Ok;
-}
-
-bool
-LoopbackConnection::ping()
-{
-    return call(Message::ping()).kind == MsgKind::Ok;
-}
-
-std::string
-LoopbackConnection::stats()
-{
-    Message r = call(Message::stats());
-    return r.kind == MsgKind::Value ? std::move(r.payload)
-                                    : std::string();
-}
-
-bool
-LoopbackConnection::stats2(std::uint16_t *shardCount,
-                           std::vector<StatSample> *samples)
-{
-    Message r = call(Message::stats2());
-    if (r.kind != MsgKind::StatsV2)
-        return false;
-    return decodeStatsV2(r.payload, shardCount, samples);
 }
 
 } // namespace adcache::net

@@ -20,11 +20,11 @@
 #define ADCACHE_NET_LOOPBACK_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "net/calls.hh"
 #include "net/protocol.hh"
 #include "net/service.hh"
 
@@ -38,13 +38,20 @@ class KvChannel
     explicit KvChannel(KvService &service) : service_(service) {}
 
     /**
-     * Ingest @p bytes from the peer; responses for every completed
-     * request are appended to @p out.
+     * Buffer @p bytes from the peer, then dispatch buffered requests
+     * in order — each response frame encoded in place at the end of
+     * @p out — while out->size() < @p out_limit. Requests past the
+     * limit stay buffered (holding()); a later call, with or without
+     * new bytes, resumes them first.
      * @return false when the stream is corrupt and the connection
      *         must be closed (any buffered output should still be
      *         flushed by the transport).
      */
-    bool ingest(std::string_view bytes, std::string *out);
+    bool ingest(std::string_view bytes, std::string *out,
+                std::size_t out_limit = std::string::npos);
+
+    /** True while complete requests wait for dispatch. */
+    bool holding() const { return !dead_ && reader_.ready(); }
 
     /** True once a framing error killed the channel. */
     bool dead() const { return dead_; }
@@ -65,11 +72,12 @@ class KvChannel
 
 /**
  * One in-process client "connection": requests go straight through
- * a KvChannel, responses are parsed back out of its output buffer.
- * Strictly sequential and allocation-deterministic — the unit-test
- * and YCSB-loopback transport.
+ * a KvChannel, responses are read back out of its output buffer.
+ * Strictly sequential; both buffers are reused across calls, so a
+ * typed call allocates only what it returns — the unit-test and
+ * YCSB-loopback transport.
  */
-class LoopbackConnection
+class LoopbackConnection final : public KvCalls
 {
   public:
     explicit LoopbackConnection(KvService &service)
@@ -94,29 +102,19 @@ class LoopbackConnection
     std::vector<Message> callMany(const std::vector<Message> &requests,
                                   std::size_t chunk = 0);
 
-    /** Typed conveniences over call(). */
-    std::optional<std::string> get(std::uint64_t key);
-    bool put(std::uint64_t key, std::string_view value,
-             std::uint32_t ttl = 0);
-    bool del(std::uint64_t key);
-    bool ping();
-    std::string stats();
-
-    /** One Stats-v2 round trip, decoded. @return false on an Error
-     *  response or a malformed blob. */
-    bool stats2(std::uint16_t *shardCount,
-                std::vector<StatSample> *samples);
-
-    /** One MGet round trip: out[i] answers keys[i] (Found maps to a
-     *  value; Miss and per-key Error both map to nullopt). */
-    std::vector<std::optional<std::string>>
-    mget(const std::vector<std::uint64_t> &keys);
-
     bool dead() const { return channel_.dead(); }
 
   private:
+    bool exchange(MessageView *response) override;
+    /** Feed request_ to the channel; the responses land in
+     *  responses_. */
+    void feed(std::size_t chunk);
+    /** The body of the next response in responses_. */
+    std::string_view nextBody();
+
     KvChannel channel_;
-    FrameReader responses_;
+    std::string responses_;
+    std::size_t responsePos_ = 0; //!< consumed prefix of responses_
 };
 
 } // namespace adcache::net

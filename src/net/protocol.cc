@@ -6,22 +6,6 @@ namespace adcache::net
 namespace
 {
 
-void
-putU32(std::uint32_t v, std::string *out)
-{
-    out->push_back(char(v & 0xff));
-    out->push_back(char((v >> 8) & 0xff));
-    out->push_back(char((v >> 16) & 0xff));
-    out->push_back(char((v >> 24) & 0xff));
-}
-
-void
-putU64(std::uint64_t v, std::string *out)
-{
-    putU32(std::uint32_t(v & 0xffffffffu), out);
-    putU32(std::uint32_t(v >> 32), out);
-}
-
 std::uint32_t
 getU32(const unsigned char *p)
 {
@@ -34,6 +18,19 @@ getU64(const unsigned char *p)
 {
     return std::uint64_t(getU32(p)) |
            (std::uint64_t(getU32(p + 4)) << 32);
+}
+
+void
+storeU32(std::uint32_t v, char *p)
+{
+    for (unsigned i = 0; i < 4; ++i)
+        p[i] = char((v >> (8 * i)) & 0xff);
+}
+
+const unsigned char *
+bytesOf(std::string_view s)
+{
+    return reinterpret_cast<const unsigned char *>(s.data());
 }
 
 } // namespace
@@ -193,56 +190,118 @@ Message::statsV2Response(std::string blob)
 }
 
 void
+appendU32(std::uint32_t v, std::string *out)
+{
+    char b[4];
+    storeU32(v, b);
+    out->append(b, 4);
+}
+
+void
+appendU64(std::uint64_t v, std::string *out)
+{
+    appendU32(std::uint32_t(v & 0xffffffffu), out);
+    appendU32(std::uint32_t(v >> 32), out);
+}
+
+std::size_t
+beginFrame(MsgKind kind, std::string *out)
+{
+    const std::size_t start = out->size();
+    const char head[5] = {0, 0, 0, 0, char(kind)};
+    out->append(head, 5);
+    return start;
+}
+
+void
+endFrame(std::size_t start, std::string *out)
+{
+    storeU32(std::uint32_t(out->size() - start - 4), out->data() + start);
+}
+
+void
+appendFrame(MsgKind kind, std::string_view payload, std::string *out)
+{
+    const std::size_t f = beginFrame(kind, out);
+    out->append(payload);
+    endFrame(f, out);
+}
+
+void
+encodePut(std::uint64_t key, std::string_view value, std::uint32_t ttl,
+          std::string *out)
+{
+    const std::size_t f = beginFrame(MsgKind::Put, out);
+    appendU64(key, out);
+    appendU32(ttl, out);
+    out->append(value);
+    endFrame(f, out);
+}
+
+void
+encodeMGet(std::span<const std::uint64_t> keys, std::string *out)
+{
+    const std::size_t f = beginFrame(MsgKind::MGet, out);
+    appendU32(std::uint32_t(keys.size()), out);
+    for (const std::uint64_t k : keys)
+        appendU64(k, out);
+    endFrame(f, out);
+}
+
+void
 encodeFrame(const Message &m, std::string *out)
 {
-    std::string body;
-    body.push_back(char(m.kind));
     switch (m.kind) {
       case MsgKind::Get:
-      case MsgKind::Del:
-        putU64(m.key, &body);
-        break;
+      case MsgKind::Del: {
+        const std::size_t f = beginFrame(m.kind, out);
+        appendU64(m.key, out);
+        endFrame(f, out);
+        return;
+      }
       case MsgKind::Put:
-        putU64(m.key, &body);
-        putU32(m.ttl, &body);
-        body.append(m.payload);
-        break;
+        encodePut(m.key, m.payload, m.ttl, out);
+        return;
       case MsgKind::Ping:
       case MsgKind::Ok:
       case MsgKind::NotFound:
-        break;
-      case MsgKind::Stats:
+        appendFrame(m.kind, {}, out);
+        return;
+      case MsgKind::Stats: {
         // v1 keeps the historical empty body; later versions carry
         // one version byte.
-        if (m.statsVersion > 1)
-            body.push_back(char(m.statsVersion));
-        break;
+        const char version = char(m.statsVersion);
+        appendFrame(m.kind,
+                    std::string_view(&version, m.statsVersion > 1),
+                    out);
+        return;
+      }
       case MsgKind::Value:
       case MsgKind::Error:
       case MsgKind::StatsV2:
-        body.append(m.payload);
-        break;
+        appendFrame(m.kind, m.payload, out);
+        return;
       case MsgKind::MGet:
-        putU32(std::uint32_t(m.keys.size()), &body);
-        for (const std::uint64_t k : m.keys)
-            putU64(k, &body);
-        break;
+        encodeMGet(m.keys, out);
+        return;
       case MsgKind::Values: {
-        std::size_t bytes = 4;
+        std::size_t bytes = 1 + 4 + 4;
         for (const MGetEntry &e : m.entries)
             bytes += 5 + e.value.size();
-        body.reserve(1 + bytes);
-        putU32(std::uint32_t(m.entries.size()), &body);
+        out->reserve(out->size() + bytes);
+        const std::size_t f = beginFrame(m.kind, out);
+        appendU32(std::uint32_t(m.entries.size()), out);
         for (const MGetEntry &e : m.entries) {
-            body.push_back(char(e.status));
-            putU32(std::uint32_t(e.value.size()), &body);
-            body.append(e.value);
+            out->push_back(char(e.status));
+            appendU32(std::uint32_t(e.value.size()), out);
+            out->append(e.value);
         }
-        break;
+        endFrame(f, out);
+        return;
       }
     }
-    putU32(std::uint32_t(body.size()), out);
-    out->append(body);
+    // An unknown kind still frames: the kind byte alone.
+    appendFrame(m.kind, {}, out);
 }
 
 std::string
@@ -253,17 +312,32 @@ encodedFrame(const Message &m)
     return out;
 }
 
+std::uint64_t
+MessageView::mgetKey(std::size_t i) const
+{
+    return getU64(bytesOf(items) + 8 * i);
+}
+
+std::size_t
+nextValuesEntry(std::string_view items, std::size_t off,
+                MGetStatus *status, std::string_view *value)
+{
+    const unsigned char *p = bytesOf(items) + off;
+    const std::size_t len = getU32(p + 1);
+    *status = MGetStatus(p[0]);
+    *value = items.substr(off + 5, len);
+    return off + 5 + len;
+}
+
 bool
-decodeBody(std::string_view body, Message *out)
+decodeView(std::string_view body, MessageView *out)
 {
     if (body.empty())
         return false;
-    const auto *p =
-        reinterpret_cast<const unsigned char *>(body.data());
-    const auto kind = MsgKind(p[0]);
-    Message m;
-    m.kind = kind;
-    switch (kind) {
+    const unsigned char *p = bytesOf(body);
+    MessageView m;
+    m.kind = MsgKind(p[0]);
+    switch (m.kind) {
       case MsgKind::Get:
       case MsgKind::Del:
         if (body.size() != 1 + 8)
@@ -275,7 +349,7 @@ decodeBody(std::string_view body, Message *out)
             return false;
         m.key = getU64(p + 1);
         m.ttl = getU32(p + 9);
-        m.payload.assign(body.substr(13));
+        m.payload = body.substr(13);
         break;
       case MsgKind::Ping:
       case MsgKind::Ok:
@@ -293,7 +367,7 @@ decodeBody(std::string_view body, Message *out)
       case MsgKind::Value:
       case MsgKind::Error:
       case MsgKind::StatsV2:
-        m.payload.assign(body.substr(1));
+        m.payload = body.substr(1);
         break;
       case MsgKind::MGet: {
         if (body.size() < 1 + 4)
@@ -302,9 +376,8 @@ decodeBody(std::string_view body, Message *out)
         if (count > kMaxMGetKeys ||
             body.size() != 1 + 4 + 8 * count)
             return false;
-        m.keys.reserve(count);
-        for (std::size_t i = 0; i < count; ++i)
-            m.keys.push_back(getU64(p + 5 + 8 * i));
+        m.count = std::uint32_t(count);
+        m.items = body.substr(5);
         break;
       }
       case MsgKind::Values: {
@@ -313,33 +386,81 @@ decodeBody(std::string_view body, Message *out)
         const std::size_t count = getU32(p + 1);
         if (count > kMaxMGetKeys)
             return false;
-        m.entries.reserve(count);
         std::size_t off = 5;
         for (std::size_t i = 0; i < count; ++i) {
             if (body.size() - off < 5)
                 return false;
-            const std::uint8_t status = p[off];
-            if (status > std::uint8_t(MGetStatus::Error))
+            if (p[off] > std::uint8_t(MGetStatus::Error))
                 return false;
             const std::size_t len = getU32(p + off + 1);
             off += 5;
             if (body.size() - off < len)
                 return false;
-            MGetEntry e;
-            e.status = MGetStatus(status);
-            e.value.assign(body.substr(off, len));
-            m.entries.push_back(std::move(e));
             off += len;
         }
         if (off != body.size())
             return false;
+        m.count = std::uint32_t(count);
+        m.items = body.substr(5);
         break;
       }
       default:
         return false;
     }
-    *out = std::move(m);
+    *out = m;
     return true;
+}
+
+Message
+Message::from(const MessageView &v)
+{
+    Message m;
+    m.kind = v.kind;
+    m.key = v.key;
+    m.ttl = v.ttl;
+    m.payload.assign(v.payload);
+    m.statsVersion = v.statsVersion;
+    if (v.kind == MsgKind::MGet) {
+        m.keys.reserve(v.count);
+        for (std::size_t i = 0; i < v.count; ++i)
+            m.keys.push_back(v.mgetKey(i));
+    } else if (v.kind == MsgKind::Values) {
+        m.entries.resize(v.count);
+        std::size_t off = 0;
+        for (MGetEntry &e : m.entries) {
+            std::string_view value;
+            off = nextValuesEntry(v.items, off, &e.status, &value);
+            e.value.assign(value);
+        }
+    }
+    return m;
+}
+
+bool
+decodeBody(std::string_view body, Message *out)
+{
+    MessageView v;
+    if (!decodeView(body, &v))
+        return false;
+    *out = Message::from(v);
+    return true;
+}
+
+FrameReader::Status
+FrameReader::split(std::string_view bytes, std::size_t max_frame,
+                   std::size_t *pos, std::string_view *body)
+{
+    const std::size_t avail = bytes.size() - *pos;
+    if (avail < 4)
+        return Status::NeedMore;
+    const std::uint32_t len = getU32(bytesOf(bytes) + *pos);
+    if (len > max_frame)
+        return Status::Corrupt;
+    if (avail < 4 + std::size_t(len))
+        return Status::NeedMore;
+    *body = bytes.substr(*pos + 4, len);
+    *pos += 4 + len;
+    return Status::Frame;
 }
 
 void
@@ -362,24 +483,22 @@ FrameReader::feed(std::string_view bytes)
 }
 
 FrameReader::Status
-FrameReader::next(std::string *body)
+FrameReader::next(std::string_view *body)
 {
     if (corrupt_)
         return Status::Corrupt;
-    if (buffered() < 4)
-        return Status::NeedMore;
-    const auto *p = reinterpret_cast<const unsigned char *>(
-        buf_.data() + pos_);
-    const std::uint32_t len = getU32(p);
-    if (len > maxFrame_) {
-        corrupt_ = true;
-        return Status::Corrupt;
-    }
-    if (buffered() < 4 + std::size_t(len))
-        return Status::NeedMore;
-    body->assign(buf_, pos_ + 4, len);
-    pos_ += 4 + len;
-    return Status::Frame;
+    const Status status = split(buf_, maxFrame_, &pos_, body);
+    corrupt_ = status == Status::Corrupt;
+    return status;
+}
+
+bool
+FrameReader::ready() const
+{
+    std::size_t pos = pos_;
+    std::string_view body;
+    return corrupt_ ||
+           split(buf_, maxFrame_, &pos, &body) != Status::NeedMore;
 }
 
 } // namespace adcache::net

@@ -43,14 +43,23 @@
  * error isolation).
  *
  * FrameReader is the incremental reassembly state machine both
- * transports share: bytes may arrive in arbitrary chunks (partial
- * reads) and frames are surfaced one at a time.
+ * transports and the client share: bytes may arrive in arbitrary
+ * chunks (partial reads) and frames are surfaced one at a time, as
+ * views over the reader's own buffer.
+ *
+ * The codec allocates nothing per message on the serving path: a
+ * body decodes into a MessageView whose variable-length fields are
+ * views into the body, and a response is encoded in place at the
+ * end of the connection's output buffer (beginFrame / endFrame, or
+ * appendFrame for a kind whose body is one payload). Message is the
+ * owning form, for callers that keep a message past its buffer.
  */
 
 #ifndef ADCACHE_NET_PROTOCOL_HH
 #define ADCACHE_NET_PROTOCOL_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -105,6 +114,8 @@ struct MGetEntry
     std::string value;
 };
 
+struct MessageView;
+
 /** One decoded message (request or response). */
 struct Message
 {
@@ -132,20 +143,80 @@ struct Message
     static Message error(std::string_view text);
     static Message values(std::vector<MGetEntry> entries);
     static Message statsV2Response(std::string blob);
+
+    /** An owned copy of a decoded view. */
+    static Message from(const MessageView &v);
 };
+
+/**
+ * One decoded message whose variable-length fields are views into
+ * the body it was decoded from: valid only while those bytes are.
+ */
+struct MessageView
+{
+    MsgKind kind = MsgKind::Ping;
+    std::uint64_t key = 0;     //!< Get / Put / Del
+    std::uint32_t ttl = 0;     //!< Put
+    std::string_view payload;  //!< Put value / Value / Error text
+                               //!< / StatsV2 blob
+    std::uint32_t count = 0;   //!< MGet keys / Values entries
+    std::string_view items;    //!< their wire bytes (validated)
+    std::uint8_t statsVersion = 1; //!< Stats request: 1 or 2
+
+    /** MGet request: the @p i-th key. */
+    std::uint64_t mgetKey(std::size_t i) const;
+};
+
+/**
+ * Decode one frame body (no length prefix) into views over it.
+ * @return false when the body is malformed (unknown kind, short
+ *         fields, trailing bytes on a fixed-size message).
+ */
+bool decodeView(std::string_view body, MessageView *out);
+
+/**
+ * Read the Values entry at offset @p off of a decoded view's
+ * items (start at 0, once per entry).
+ * @return the offset of the next entry.
+ */
+std::size_t nextValuesEntry(std::string_view items, std::size_t off,
+                            MGetStatus *status, std::string_view *value);
+
+/** decodeView() into the owning form. */
+bool decodeBody(std::string_view body, Message *out);
+
+/** Append a little-endian integer to @p out. */
+void appendU32(std::uint32_t v, std::string *out);
+void appendU64(std::uint64_t v, std::string *out);
+
+/**
+ * Start a frame of @p kind at the end of @p out: a length
+ * placeholder, then the kind byte. Append the rest of the body
+ * straight to @p out, then close the frame with endFrame().
+ * @return the frame's offset in @p out.
+ */
+std::size_t beginFrame(MsgKind kind, std::string *out);
+
+/** Patch the u32 length prefix at @p start to count every byte of
+ *  @p out after it: closes a frame begun with beginFrame(), or any
+ *  length-prefixed field (a Values entry). */
+void endFrame(std::size_t start, std::string *out);
+
+/** A whole frame whose body is the kind byte and @p payload (Ok,
+ *  NotFound, Ping: empty; Value, Error, StatsV2: the bytes). */
+void appendFrame(MsgKind kind, std::string_view payload,
+                 std::string *out);
+
+/** Request frames, encoded from their fields. */
+void encodePut(std::uint64_t key, std::string_view value,
+               std::uint32_t ttl, std::string *out);
+void encodeMGet(std::span<const std::uint64_t> keys, std::string *out);
 
 /** Append @p m's complete frame (length prefix + body) to @p out. */
 void encodeFrame(const Message &m, std::string *out);
 
 /** Convenience: @p m as a fresh frame. */
 std::string encodedFrame(const Message &m);
-
-/**
- * Decode one frame body (no length prefix) into @p out.
- * @return false when the body is malformed (unknown kind, short
- *         fields, trailing bytes on a fixed-size message).
- */
-bool decodeBody(std::string_view body, Message *out);
 
 /** Incremental frame reassembly over an arbitrary byte stream. */
 class FrameReader
@@ -160,19 +231,31 @@ class FrameReader
     enum class Status
     {
         NeedMore, //!< no complete frame buffered yet
-        Frame,    //!< one body extracted into *body
+        Frame,    //!< one body surfaced in *body
         Corrupt,  //!< declared length > max frame: stream is dead
     };
+
+    /**
+     * Split the frame at @p bytes[*pos] off: on Frame, @p body views
+     * its body and @p pos moves past it. The framing rule both the
+     * reader and whole-frame buffers use.
+     */
+    static Status split(std::string_view bytes, std::size_t max_frame,
+                        std::size_t *pos, std::string_view *body);
 
     /** Buffer @p bytes (any chunking, including byte-at-a-time). */
     void feed(std::string_view bytes);
 
     /**
-     * Extract the next complete frame body. Once Corrupt is
+     * Surface the next complete frame body as a view into the
+     * reader's buffer, valid until the next feed(). Once Corrupt is
      * returned the reader stays dead (the stream cannot be
      * resynchronized).
      */
-    Status next(std::string *body);
+    Status next(std::string_view *body);
+
+    /** True when next() would not answer NeedMore. */
+    bool ready() const;
 
     /** Bytes buffered but not yet surfaced as frames. A nonzero
      *  value at connection EOF means a truncated frame. */

@@ -261,79 +261,95 @@ KvServer::acceptLoop()
 }
 
 bool
+KvServer::readConn(Conn &c)
+{
+    // Drain the socket per readable event while the output has room:
+    // a pipelining client's burst of frames is decoded and serviced
+    // here, and the responses land in c.out before the flush runs.
+    obs::ScopedSpan span("srv.read");
+    char buf[64 * 1024];
+    while (!c.out.full()) {
+        const ssize_t n = ::read(c.fd, buf, sizeof buf);
+        if (n > 0) {
+            counters_->bytesIn.fetch_add(std::uint64_t(n),
+                                         std::memory_order_relaxed);
+            if (!c.channel->ingest(std::string_view(buf, std::size_t(n)),
+                                   &c.out.data, c.out.limit())) {
+                // Corrupt framing: flush what we owe, then close
+                // (error isolation — only this peer).
+                c.closing = true;
+                return true;
+            }
+            continue;
+        }
+        if (n == 0) {
+            // Peer EOF. A partial trailing frame is a protocol
+            // violation but, either way, flush-and-close.
+            c.closing = true;
+            return true;
+        }
+        if (errno == EINTR)
+            continue;
+        return errno == EAGAIN || errno == EWOULDBLOCK;
+    }
+    return true;
+}
+
+bool
+KvServer::flushConn(Conn &c)
+{
+    // Partial writes advance the consumed head; the tail waits for
+    // the next POLLOUT round. MSG_NOSIGNAL turns a peer that hung up
+    // mid-flush into an EPIPE on this connection instead of a
+    // process-wide SIGPIPE.
+    obs::ScopedSpan span("srv.flush");
+    counters_->noteHighWater(c.out.pending());
+    while (!c.out.empty()) {
+        const ssize_t n = ::send(c.fd, c.out.front(), c.out.pending(),
+                                 MSG_NOSIGNAL);
+        if (n > 0) {
+            counters_->bytesOut.fetch_add(std::uint64_t(n),
+                                          std::memory_order_relaxed);
+            c.out.consume(std::size_t(n));
+            continue;
+        }
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+            counters_->parks.fetch_add(1, std::memory_order_relaxed);
+            return true;
+        }
+        return false; // EPIPE/ECONNRESET: only this peer dies
+    }
+    return true;
+}
+
+bool
 KvServer::serviceConn(Conn &c, short revents)
 {
     if (revents & (POLLERR | POLLNVAL))
         return false;
-    if (revents & (POLLIN | POLLHUP)) {
-        // Drain the socket completely per readable event: a
-        // pipelining client's whole burst of frames is decoded and
-        // serviced here, and every response lands in c.out before
-        // the single flush loop below runs.
-        obs::ScopedSpan span("srv.read");
-        const std::uint64_t framesBefore =
-            c.channel->requestsHandled();
-        char buf[64 * 1024];
-        for (;;) {
-            const ssize_t n = ::read(c.fd, buf, sizeof buf);
-            if (n > 0) {
-                counters_->bytesIn.fetch_add(
-                    std::uint64_t(n), std::memory_order_relaxed);
-                if (!c.channel->ingest(
-                        std::string_view(buf, std::size_t(n)),
-                        &c.out.data)) {
-                    // Corrupt framing: flush what we owe, then
-                    // close (error isolation — only this peer).
-                    c.closing = true;
-                    break;
-                }
-                continue;
-            }
-            if (n == 0) {
-                // Peer EOF. A partial trailing frame is a protocol
-                // violation but, either way, flush-and-close.
-                c.closing = true;
-                break;
-            }
-            if (errno == EINTR)
-                continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK)
-                break;
-            return false; // connection reset etc.
+    const std::uint64_t framesBefore = c.channel->requestsHandled();
+    bool readable = revents & (POLLIN | POLLHUP);
+    for (;;) {
+        // Requests held back by a full OutBuf go first, in order.
+        if (!c.channel->ingest({}, &c.out.data, c.out.limit()))
+            c.closing = true;
+        if (readable && !c.closing && !c.out.full()) {
+            if (!readConn(c))
+                return false;
+            readable = false;
         }
-        counters_->framesIn.fetch_add(
-            c.channel->requestsHandled() - framesBefore,
-            std::memory_order_relaxed);
+        if (!c.out.empty() && !flushConn(c))
+            return false;
+        // A drained flush with requests still held must serve them
+        // now: no socket event would wake this connection for them.
+        if (!c.out.empty() || !c.channel->holding())
+            break;
     }
-    // Drain pending output (partial writes advance the consumed
-    // head; the tail waits for the next POLLOUT round). MSG_NOSIGNAL
-    // turns a peer that hung up mid-flush into an EPIPE on this
-    // connection instead of a process-wide SIGPIPE.
-    if (!c.out.empty()) {
-        obs::ScopedSpan span("srv.flush");
-        counters_->noteHighWater(c.out.pending());
-        for (;;) {
-            const ssize_t n = ::send(c.fd, c.out.front(),
-                                     c.out.pending(), MSG_NOSIGNAL);
-            if (n > 0) {
-                counters_->bytesOut.fetch_add(
-                    std::uint64_t(n), std::memory_order_relaxed);
-                c.out.consume(std::size_t(n));
-                if (c.out.empty())
-                    break;
-                continue;
-            }
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n < 0 &&
-                (errno == EAGAIN || errno == EWOULDBLOCK)) {
-                counters_->parks.fetch_add(
-                    1, std::memory_order_relaxed);
-                break;
-            }
-            return false; // EPIPE/ECONNRESET: only this peer dies
-        }
-    }
+    counters_->framesIn.fetch_add(
+        c.channel->requestsHandled() - framesBefore,
+        std::memory_order_relaxed);
     return !(c.closing && c.out.empty());
 }
 
@@ -362,7 +378,9 @@ KvServer::workerLoop(Worker &w)
         for (const Conn &c : conns) {
             pollfd p{};
             p.fd = c.fd;
-            p.events = POLLIN;
+            // A full OutBuf is backpressure: wait for the peer to
+            // read before taking more of its requests.
+            p.events = c.out.full() ? 0 : POLLIN;
             if (!c.out.empty())
                 p.events |= POLLOUT;
             pfds.push_back(p);

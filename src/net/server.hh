@@ -13,6 +13,12 @@
  * Robustness contract (exercised by tests/net/server_test.cc):
  *   - partial reads/writes: per-connection KvChannel reassembly and
  *     a pending-output buffer drained under POLLOUT;
+ *   - backpressure: once a connection's pending output passes
+ *     kOutputCap, the worker stops dispatching its buffered
+ *     requests and stops polling it for input, so a client that
+ *     pipelines without reading stalls in its own send buffer
+ *     instead of growing server memory; the flush that brings the
+ *     output back under the cap resumes the held requests in order;
  *   - EINTR: every syscall loop retries;
  *   - per-connection error isolation: a peer that sends garbage
  *     framing, dies mid-frame, or breaks its socket costs only its
@@ -59,6 +65,11 @@ struct KvServerConfig
 class KvServer
 {
   public:
+    /** Pending output past which a connection is backpressured
+     *  (see file comment): its backlog stays below this plus one
+     *  response frame. */
+    static constexpr std::size_t kOutputCap = 256 * 1024;
+
     KvServer(KvService &service, const KvServerConfig &config);
     ~KvServer();
 
@@ -130,6 +141,9 @@ class KvServer
 
         bool empty() const { return head == data.size(); }
         std::size_t pending() const { return data.size() - head; }
+        /** The out_limit KvChannel::ingest dispatches up to. */
+        std::size_t limit() const { return head + kOutputCap; }
+        bool full() const { return pending() >= kOutputCap; }
         const char *front() const { return data.data() + head; }
 
         void
@@ -200,6 +214,12 @@ class KvServer
     void workerLoop(Worker &w);
     /** Pump one connection's socket; @return false to close it. */
     bool serviceConn(Conn &c, short revents);
+    /** Read and dispatch until EAGAIN or a full OutBuf;
+     *  @return false on a socket error. */
+    bool readConn(Conn &c);
+    /** Write pending output until it drains or the socket parks
+     *  it; @return false on a socket error. */
+    bool flushConn(Conn &c);
     static void closeFd(int fd);
 
     KvService &service_;

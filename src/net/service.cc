@@ -52,13 +52,13 @@ KvService::shardDead(kv::KvKey key) const
 std::uint64_t
 KvService::requestsServed() const
 {
-    return requests_.load(std::memory_order_seq_cst);
+    return counts_.sum(kRequests);
 }
 
 std::uint64_t
 KvService::errorsAnswered() const
 {
-    return errors_.load(std::memory_order_seq_cst);
+    return counts_.sum(kErrors);
 }
 
 std::uint64_t
@@ -67,18 +67,40 @@ KvService::opCount(MsgKind kind) const
     const unsigned op = unsigned(kind);
     if (op >= kOpSlots)
         return 0;
-    return opCounts_[op].load(std::memory_order_seq_cst);
+    return counts_.sum(kOpBase + op);
 }
 
 Message
 KvService::handle(const Message &request)
 {
+    MessageView view;
+    view.kind = request.kind;
+    view.key = request.key;
+    view.ttl = request.ttl;
+    view.payload = request.payload;
+    view.statsVersion = request.statsVersion;
+    std::string mget;
+    if (request.kind == MsgKind::MGet) {
+        // The view reads MGet keys in their wire form.
+        encodeMGet(request.keys, &mget);
+        decodeView(std::string_view(mget).substr(4), &view);
+    }
+    std::string frame;
+    serve(view, &frame);
+    Message response;
+    decodeBody(std::string_view(frame).substr(4), &response);
+    return response;
+}
+
+void
+KvService::serve(const MessageView &request, std::string *out)
+{
     const std::uint64_t t0 = obs::nowNs();
     const unsigned op = unsigned(request.kind);
     if (op < kOpSlots)
-        opCounts_[op].fetch_add(1, std::memory_order_relaxed);
+        counts_.add(kOpBase + op);
 
-    Message response = handleInner(request);
+    serveInner(request, out);
 
     const std::uint64_t dur = obs::nowNs() - t0;
     requestLatency_.record(dur);
@@ -96,148 +118,178 @@ KvService::handle(const Message &request)
                                  1000));
         config_.logSink(line);
     }
-    return response;
 }
 
-Message
-KvService::handleInner(const Message &request)
+void
+KvService::answerError(std::string_view text, std::string *out)
 {
-    requests_.fetch_add(1, std::memory_order_relaxed);
+    counts_.add(kErrors);
+    appendFrame(MsgKind::Error, text, out);
+}
+
+std::string
+KvService::load(kv::KvKey key, std::uint32_t delay_us) const
+{
+    // The loader body is the "backend": derive the canonical value,
+    // stalled by the slowdown scenario when it is armed.
+    if (delay_us)
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(delay_us));
+    return valueFor(key, config_.loaderValues);
+}
+
+void
+KvService::serveInner(const MessageView &request, std::string *out)
+{
+    counts_.add(kRequests);
     switch (request.kind) {
       case MsgKind::Get: {
-        if (shardDead(request.key)) {
-            errors_.fetch_add(1, std::memory_order_relaxed);
-            return Message::error("shard down");
-        }
+        if (shardDead(request.key))
+            return answerError("shard down", out);
+        const std::size_t f = beginFrame(MsgKind::Value, out);
         if (config_.readThrough) {
             const std::uint32_t delay_us =
                 fetchDelayUs_.load(std::memory_order_seq_cst);
-            std::string v = cache_.fetch(
+            cache_.fetchInto(
                 request.key,
-                [&] {
-                    // The loader body is the "backend": derive the
-                    // canonical value, stalled by the slowdown
-                    // scenario when it is armed.
-                    if (delay_us)
-                        std::this_thread::sleep_for(
-                            std::chrono::microseconds(delay_us));
-                    return valueFor(request.key,
-                                    config_.loaderValues);
+                [this, key = request.key, delay_us] {
+                    return load(key, delay_us);
                 },
-                config_.loaderTtl);
-            return Message::value(v);
+                out, config_.loaderTtl);
+        } else if (!cache_.getInto(request.key, out)) {
+            // A miss appended nothing: the frame becomes NotFound.
+            (*out)[f + 4] = char(MsgKind::NotFound);
         }
-        if (auto v = cache_.get(request.key))
-            return Message::value(*v);
-        return Message::notFound();
+        return endFrame(f, out);
       }
-      case MsgKind::Put: {
-        if (shardDead(request.key)) {
-            errors_.fetch_add(1, std::memory_order_relaxed);
-            return Message::error("shard down");
-        }
+      case MsgKind::Put:
+        if (shardDead(request.key))
+            return answerError("shard down", out);
         cache_.put(request.key, request.payload, /*pinned=*/false,
                    request.ttl);
-        return Message::ok();
-      }
-      case MsgKind::Del: {
-        if (shardDead(request.key)) {
-            errors_.fetch_add(1, std::memory_order_relaxed);
-            return Message::error("shard down");
-        }
-        return cache_.erase(request.key) ? Message::ok()
-                                         : Message::notFound();
-      }
+        return appendFrame(MsgKind::Ok, {}, out);
+      case MsgKind::Del:
+        if (shardDead(request.key))
+            return answerError("shard down", out);
+        return appendFrame(cache_.erase(request.key)
+                               ? MsgKind::Ok
+                               : MsgKind::NotFound,
+                           {}, out);
       case MsgKind::MGet:
-        return handleMGet(request);
+        return serveMGet(request, out);
       case MsgKind::Ping:
-        return Message::ok();
+        return appendFrame(MsgKind::Ok, {}, out);
       case MsgKind::Stats:
         if (request.statsVersion == 1)
-            return Message::value(statsText());
+            return appendFrame(MsgKind::Value, statsText(), out);
         if (request.statsVersion == kStatsV2Version)
-            return Message::statsV2Response(statsV2());
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        return Message::error("unsupported stats version");
+            return appendFrame(MsgKind::StatsV2, statsV2(), out);
+        return answerError("unsupported stats version", out);
       default:
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        return Message::error("bad request kind");
+        return answerError("bad request kind", out);
     }
 }
 
-Message
-KvService::handleMGet(const Message &request)
+void
+KvService::serveMGet(const MessageView &request, std::string *out)
 {
-    const std::size_t n = request.keys.size();
-    std::vector<MGetEntry> entries(n);
+    const std::size_t n = request.count;
+    const std::uint64_t dead =
+        deadShardMask_.load(std::memory_order_seq_cst);
+    const auto is_dead = [&](std::size_t i) {
+        return dead != 0 &&
+               ((dead >> cache_.shardOf(request.mgetKey(i))) & 1);
+    };
 
-    // Keys on dead shards answer per-key Error entries, so one lost
-    // shard degrades the batch instead of failing it wholesale; the
-    // live remainder goes through one shard-grouped getMany, which
-    // is the point of the opcode — cache hits stay on the lock-free
-    // path even with read-through on (a plain Get under readThrough
-    // always takes the shard mutex via fetch()). With every shard
-    // alive — the steady state — the keys span probes as-is, with
-    // no live-subset copy.
-    std::vector<kv::KvKey> live;
-    std::vector<std::uint32_t> live_idx;
-    const bool all_alive =
-        deadShardMask_.load(std::memory_order_seq_cst) == 0;
-    if (!all_alive) {
-        live.reserve(n);
-        live_idx.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (shardDead(request.keys[i])) {
-                errors_.fetch_add(1, std::memory_order_relaxed);
-                entries[i].status = MGetStatus::Error;
-                entries[i].value = "shard down";
-            } else {
-                live.push_back(request.keys[i]);
-                live_idx.push_back(std::uint32_t(i));
-            }
-        }
+    // The live keys in host form: on the stack for the common
+    // pipeline depths, one heap block beyond.
+    constexpr std::size_t kStackKeys = 64;
+    kv::KvKey stack_keys[kStackKeys];
+    std::vector<kv::KvKey> heap_keys;
+    kv::KvKey *live = stack_keys;
+    if (n > kStackKeys) {
+        heap_keys.resize(n);
+        live = heap_keys.data();
     }
-    const std::span<const kv::KvKey> probe_keys =
-        all_alive ? std::span<const kv::KvKey>(request.keys)
-                  : std::span<const kv::KvKey>(live);
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        if (!is_dead(i))
+            live[m++] = request.mgetKey(i);
 
-    std::vector<std::optional<std::string>> got(probe_keys.size());
-    cache_.getMany(probe_keys, got.data());
-
-    const std::uint32_t delay_us =
-        fetchDelayUs_.load(std::memory_order_seq_cst);
-    for (std::size_t j = 0; j < probe_keys.size(); ++j) {
-        MGetEntry &e = entries[all_alive ? j : live_idx[j]];
-        if (got[j]) {
-            e.status = MGetStatus::Found;
-            e.value = std::move(*got[j]);
-        } else if (config_.readThrough) {
-            const kv::KvKey key = probe_keys[j];
-            e.status = MGetStatus::Found;
-            e.value = cache_.fetch(
-                key,
-                [&] {
-                    if (delay_us)
-                        std::this_thread::sleep_for(
-                            std::chrono::microseconds(delay_us));
-                    return valueFor(key, config_.loaderValues);
-                },
-                config_.loaderTtl);
+    // Entries go out in request order as the probe resolves the live
+    // keys, each hit's value copied straight from the cache into the
+    // frame. Keys on dead shards answer per-key Error entries, so one
+    // lost shard degrades the batch instead of failing it wholesale;
+    // the live keys are probed as one batch — the point of the
+    // opcode: cache hits stay on the lock-free path even with
+    // read-through on (a plain Get under readThrough always takes the
+    // shard mutex via fetch()).
+    const std::size_t f = beginFrame(MsgKind::Values, out);
+    appendU32(std::uint32_t(n), out);
+    std::size_t next = 0; //!< request index of the next entry
+    std::size_t first_miss = n, first_miss_at = 0;
+    const auto skip_dead = [&] {
+        for (; next < n && is_dead(next); ++next) {
+            counts_.add(kErrors);
+            out->push_back(char(MGetStatus::Error));
+            appendU32(10, out);
+            out->append("shard down");
         }
-        // else: stays MGetStatus::Miss.
+    };
+    cache_.probeMany(
+        std::span<const kv::KvKey>(live, m),
+        [&](std::size_t, const std::string *v) {
+            skip_dead();
+            if (!v && first_miss == n) {
+                first_miss = next;
+                first_miss_at = out->size();
+            }
+            out->push_back(
+                char(v ? MGetStatus::Found : MGetStatus::Miss));
+            appendU32(v ? std::uint32_t(v->size()) : 0, out);
+            if (v)
+                out->append(*v);
+            ++next;
+        });
+    skip_dead();
+
+    if (config_.readThrough && first_miss < n) {
+        // Backfill: re-lay the entries from the first miss on, each
+        // Miss now filled by a read-through fetch, in request order.
+        const std::string tail = out->substr(first_miss_at);
+        out->resize(first_miss_at);
+        const std::uint32_t delay_us =
+            fetchDelayUs_.load(std::memory_order_seq_cst);
+        std::size_t off = 0;
+        for (std::size_t i = first_miss; i < n; ++i) {
+            MGetStatus status;
+            std::string_view value;
+            const std::size_t end =
+                nextValuesEntry(tail, off, &status, &value);
+            if (status != MGetStatus::Miss) {
+                out->append(tail, off, end - off);
+            } else {
+                const kv::KvKey key = request.mgetKey(i);
+                out->push_back(char(MGetStatus::Found));
+                const std::size_t len_at = out->size();
+                appendU32(0, out);
+                cache_.fetchInto(
+                    key, [&] { return load(key, delay_us); }, out,
+                    config_.loaderTtl);
+                endFrame(len_at, out);
+            }
+            off = end;
+        }
     }
 
     // The response must itself be one legal frame; a batch of fat
     // values that would overflow it is a request-level error (the
     // client should split the batch), not a dead connection.
-    std::size_t body = 1 + 4;
-    for (const MGetEntry &e : entries)
-        body += 5 + e.value.size();
-    if (body > kMaxFrameBytes) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        return Message::error("mget response too large");
+    if (out->size() - f - 4 > kMaxFrameBytes) {
+        out->resize(f);
+        return answerError("mget response too large", out);
     }
-    return Message::values(std::move(entries));
+    endFrame(f, out);
 }
 
 std::string

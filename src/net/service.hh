@@ -2,14 +2,16 @@
  * @file
  * KvService: the transport-independent request handler of the
  * serving subsystem. Both transports — the loopback channel and the
- * socket server's connections — decode frames into Messages and pass
- * them here; the service maps each request onto the hosted
- * AdaptiveKvCache and produces the response Message.
+ * socket server's connections — decode frames into MessageViews and
+ * pass them to serve(), which maps each request onto the hosted
+ * AdaptiveKvCache and encodes the response frame in place at the end
+ * of the connection's output buffer: a GET hit's value is copied
+ * once, from the cache into the frame.
  *
  * The service is thread-safe by construction: the cache's own
- * shard locking carries the data path, and the scenario knobs are
- * plain atomics, so any number of transport threads may call
- * handle() concurrently.
+ * shard locking carries the data path, the scenario knobs are plain
+ * atomics and the request counters are per-thread cells, so any
+ * number of transport threads may call serve() concurrently.
  *
  * Scenario injection (the failure catalog of docs/SERVING.md):
  *
@@ -35,6 +37,7 @@
 #include "kv/adaptive_kv_cache.hh"
 #include "net/protocol.hh"
 #include "net/stats_v2.hh"
+#include "obs/latency.hh"
 #include "obs/metrics.hh"
 #include "workloads/key_stream.hh"
 
@@ -81,7 +84,14 @@ class KvService
     KvService(const KvService &) = delete;
     KvService &operator=(const KvService &) = delete;
 
-    /** Serve one request; always returns a response message. */
+    /**
+     * Serve one decoded request: its response frame is appended to
+     * @p out (always exactly one frame). The one dispatch both
+     * transports and handle() run.
+     */
+    void serve(const MessageView &request, std::string *out);
+
+    /** serve() for an owned request, answering an owned response. */
     Message handle(const Message &request);
 
     kv::AdaptiveKvCache &cache() { return cache_; }
@@ -150,7 +160,7 @@ class KvService
      * collectors in @p reg: request/error/per-opcode counters,
      * request latency p50/p99 gauges, cache counters per
      * AdaptiveKvCache::registerMetrics. Hot-path cost is zero — the
-     * handle() counters below are plain atomics the collector reads.
+     * collector sums the per-thread cells serve() counts into.
      */
     void registerMetrics(obs::MetricsRegistry &reg);
 
@@ -164,20 +174,26 @@ class KvService
 
   private:
     bool shardDead(kv::KvKey key) const;
-    /** MGet: shard-grouped batch probe + read-through backfill. */
-    Message handleMGet(const Message &request);
-    Message handleInner(const Message &request);
+    void serveInner(const MessageView &request, std::string *out);
+    /** MGet: one in-order batch probe + read-through backfill. */
+    void serveMGet(const MessageView &request, std::string *out);
+    /** Count an Error answer and append its frame. */
+    void answerError(std::string_view text, std::string *out);
+    /** The read-through loader for @p key (the "backend"). */
+    std::string load(kv::KvKey key, std::uint32_t delay_us) const;
 
     KvServiceConfig config_;
     kv::AdaptiveKvCache cache_;
     std::atomic<std::uint32_t> fetchDelayUs_{0};
     std::atomic<std::uint64_t> deadShardMask_{0};
-    std::atomic<std::uint64_t> requests_{0};
-    std::atomic<std::uint64_t> errors_{0};
 
-    /** Indexed by raw request opcode (Get=1 .. MGet=6). */
+    /** Counter cells: requests, errors, then one per raw request
+     *  opcode (Get=1 .. MGet=6). */
+    static constexpr unsigned kRequests = 0;
+    static constexpr unsigned kErrors = 1;
+    static constexpr unsigned kOpBase = 2;
     static constexpr unsigned kOpSlots = 8;
-    std::atomic<std::uint64_t> opCounts_[kOpSlots] = {};
+    obs::ThreadCounters<kOpBase + kOpSlots> counts_;
 
     /** handle() time of every request, recorded per thread. */
     obs::LatencyHistogram requestLatency_;

@@ -90,7 +90,7 @@ KvConcurrencyFuzzer::emitSegment(KvFuzzSchedule &out,
       case 2:
         // Skewed read-mostly mix: the steady-state workload the
         // lock-free path is optimized for, with batched reads mixed
-        // in so getMany's grouped epoch windows race the writers.
+        // in so getMany's batch-wide epoch windows race the writers.
         for (std::size_t i = 0; i < budget; ++i) {
             const kv::KvKey k = rng_.zipfApprox(keyspace_, 0.99);
             KvFuzzOpKind kind = KvFuzzOpKind::Get;

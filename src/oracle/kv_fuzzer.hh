@@ -56,9 +56,9 @@ enum class KvFuzzOpKind : std::uint8_t
     /** Advance the cache's logical clock one tick (key unused) —
      *  racing expiry against readers is the point. */
     Advance,
-    /** getMany over the window [key, key + 8): the shard-grouped
-     *  batch path racing writers, with the identity check applied
-     *  to every returned member. */
+    /** getMany over the window [key, key + 8): the batched probe
+     *  path racing writers, with the identity check applied to every
+     *  returned member. */
     MGet,
     /** put(key, value, pinned=true): insert or overwrite and pin. */
     PutPinned,

@@ -344,7 +344,7 @@ TEST(KvCacheTest, GetManyOddBatchSizesMatchSerial)
 
 TEST(KvCacheTest, GetManyTinyTouchRingMatchesSerial)
 {
-    // A batch marks its hits in one epoch window per shard group;
+    // A batch marks its hits in one epoch window for the batch;
     // the evicting puts afterwards fold those marks, so the batched
     // marks must match the serial ones for the residency to agree.
     expectGetManyMatchesSerial(mgetConfig(), 16, 48);

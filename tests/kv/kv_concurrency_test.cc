@@ -244,7 +244,7 @@ TEST(KvConcurrencyTest, ReadRetriesCountHitsAndValidatedMisses)
          ++i) {
         // Odd keys are absent, even keys present.
         const KvKey k = i % 32 + 1;
-        std::string value;
+        const std::string *value = nullptr;
         unsigned retries = 0;
         auto verdict = KvShard::ProbeResult::NeedSlow;
         {

@@ -98,7 +98,7 @@ TEST(Loopback, MalformedBodyAnswersErrorAndChannelLives)
 
     FrameReader responses;
     responses.feed(out);
-    std::string resp_body;
+    std::string_view resp_body;
     ASSERT_EQ(responses.next(&resp_body),
               FrameReader::Status::Frame);
     Message resp;
@@ -126,7 +126,7 @@ TEST(Loopback, ResponseKindIsRejectedAsRequest)
     EXPECT_FALSE(channel.dead());
     FrameReader responses;
     responses.feed(out);
-    std::string body;
+    std::string_view body;
     ASSERT_EQ(responses.next(&body), FrameReader::Status::Frame);
     Message resp;
     ASSERT_TRUE(decodeBody(body, &resp));

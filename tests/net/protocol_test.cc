@@ -69,7 +69,7 @@ TEST(Protocol, EveryKindRoundTrips)
         const std::string frame = encodedFrame(m);
         FrameReader reader;
         reader.feed(frame);
-        std::string body;
+        std::string_view body;
         ASSERT_EQ(reader.next(&body), FrameReader::Status::Frame)
             << "kind " << unsigned(m.kind);
         Message back;
@@ -89,7 +89,7 @@ TEST(Protocol, ReaderReassemblesByteAtATime)
     const std::string frame =
         encodedFrame(Message::put(11, "split across reads", 0));
     FrameReader reader;
-    std::string body;
+    std::string_view body;
     for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
         reader.feed(std::string_view(&frame[i], 1));
         ASSERT_EQ(reader.next(&body),
@@ -110,7 +110,7 @@ TEST(Protocol, ReaderYieldsMultipleFramesFromOneFeed)
     bytes += encodedFrame(Message::ping());
     FrameReader reader;
     reader.feed(bytes);
-    std::string body;
+    std::string_view body;
     Message m;
     ASSERT_EQ(reader.next(&body), FrameReader::Status::Frame);
     ASSERT_TRUE(decodeBody(body, &m));
@@ -133,7 +133,7 @@ TEST(Protocol, ReaderStaysSmallAcrossWholeFrames)
     const std::string frame = encodedFrame(Message::get(7));
     ASSERT_EQ(frame.size(), 13u);
     FrameReader reader;
-    std::string body;
+    std::string_view body;
     for (int i = 0; i < 100'000; ++i) {
         reader.feed(frame);
         ASSERT_EQ(reader.next(&body), FrameReader::Status::Frame);
@@ -149,7 +149,7 @@ TEST(Protocol, ReaderReassemblesAFrameSplitAfterAFullDrain)
         encodedFrame(Message::put(2, "fed in two halves", 0));
     const std::size_t half = second.size() / 2;
     FrameReader reader;
-    std::string body;
+    std::string_view body;
     reader.feed(first);
     ASSERT_EQ(reader.next(&body), FrameReader::Status::Frame);
     ASSERT_EQ(reader.buffered(), 0u);
@@ -177,7 +177,7 @@ TEST(Protocol, OversizedLengthIsCorrupt)
     bytes.push_back(char((huge >> 24) & 0xff));
     FrameReader reader;
     reader.feed(bytes);
-    std::string body;
+    std::string_view body;
     EXPECT_EQ(reader.next(&body), FrameReader::Status::Corrupt);
     EXPECT_TRUE(reader.corrupt());
     reader.feed(encodedFrame(Message::ping()));
@@ -191,7 +191,7 @@ TEST(Protocol, TruncatedFrameStaysIncomplete)
     const std::string frame = encodedFrame(Message::get(5));
     FrameReader reader;
     reader.feed(frame.substr(0, frame.size() - 2));
-    std::string body;
+    std::string_view body;
     EXPECT_EQ(reader.next(&body), FrameReader::Status::NeedMore);
     EXPECT_GT(reader.buffered(), 0u);
 }
@@ -260,7 +260,7 @@ TEST(Protocol, MGetAndValuesRoundTrip)
         const std::string frame = encodedFrame(m);
         FrameReader reader;
         reader.feed(frame);
-        std::string body;
+        std::string_view body;
         ASSERT_EQ(reader.next(&body), FrameReader::Status::Frame);
         Message back;
         ASSERT_TRUE(decodeBody(body, &back));
@@ -276,7 +276,7 @@ TEST(Protocol, MGetAndValuesRoundTrip)
             encodedFrame(Message::values(entries));
         FrameReader reader;
         reader.feed(frame);
-        std::string body;
+        std::string_view body;
         ASSERT_EQ(reader.next(&body), FrameReader::Status::Frame);
         Message back;
         ASSERT_TRUE(decodeBody(body, &back));
@@ -293,7 +293,7 @@ TEST(Protocol, MGetAndValuesRoundTrip)
         const std::string frame = encodedFrame(Message::mget({}));
         FrameReader reader;
         reader.feed(frame);
-        std::string body;
+        std::string_view body;
         ASSERT_EQ(reader.next(&body), FrameReader::Status::Frame);
         Message back;
         ASSERT_TRUE(decodeBody(body, &back));

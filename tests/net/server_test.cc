@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -93,7 +94,7 @@ bool
 rawReadResponse(int fd, Message *out)
 {
     FrameReader reader;
-    std::string body;
+    std::string_view body;
     char buf[4096];
     for (;;) {
         switch (reader.next(&body)) {
@@ -395,7 +396,7 @@ TEST_F(ServerTest, BackpressuredFlushDeliversEverything)
     // One FrameReader across the whole stream: a recv can deliver
     // bytes of several frames, and none may be dropped.
     FrameReader reader;
-    std::string body;
+    std::string_view body;
     char buf[4096];
     int seen = 0;
     while (seen < kRequests) {
@@ -479,6 +480,61 @@ TEST_F(ServerTest, EofMidFrameClosesTheConnection)
     KvClient client;
     ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
     EXPECT_TRUE(client.ping());
+}
+
+TEST_F(ServerTest, NeverReadingClientIsBackpressured)
+{
+    // A client pipelines GETs and never reads. Once its pending
+    // output passes the cap, the server stops dispatching its
+    // buffered requests and stops reading its socket, so the backlog
+    // stays bounded and the client's writes stall in its own send
+    // buffer; the lone worker keeps serving another connection.
+    startServer(/*read_through=*/false, /*workers=*/1);
+    KvClient other;
+    ASSERT_TRUE(other.connect("127.0.0.1", server_->port()));
+    const std::string value(1024, 'V');
+    ASSERT_TRUE(other.put(7, value));
+
+    const int fd = rawConnect(server_->port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK),
+              0);
+    const std::string get = encodedFrame(Message::get(7));
+    constexpr std::size_t kFrames = 100'000;
+    std::string burst;
+    for (std::size_t i = 0; i < kFrames; ++i)
+        burst += get;
+    // Non-blocking writes that stop at EAGAIN: a few short waits give
+    // the server time to take what it will, then the client gives up.
+    std::size_t written = 0;
+    for (int stalls = 0; written < burst.size() && stalls < 20;) {
+        const ssize_t n = ::send(fd, burst.data() + written,
+                                 burst.size() - written, MSG_NOSIGNAL);
+        if (n > 0) {
+            written += std::size_t(n);
+            stalls = 0;
+        } else if (n < 0 && errno != EINTR) {
+            ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK)
+                << std::strerror(errno);
+            ++stalls;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    // The other connection is served meanwhile.
+    for (int i = 0; i < 5; ++i) {
+        const auto got = other.get(7);
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(*got, value);
+    }
+    const std::size_t response = 4 + 1 + value.size();
+    EXPECT_LT(server_->outBufHighWater(), KvServer::kOutputCap + response);
+    // The server stopped reading: it took far fewer request bytes than
+    // the client managed to write (a server that drains every
+    // readable socket would have read all of them).
+    EXPECT_LT(server_->bytesReceived(), written);
+    ::close(fd);
 }
 
 } // namespace
