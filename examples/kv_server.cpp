@@ -131,7 +131,6 @@ main(int argc, char **argv)
         }
 
         obs::TelemetryPumpConfig pump_conf;
-        pump_conf.metrics = &registry;
         pump_conf.driftSampler =
             [&service]() -> std::vector<obs::DriftShardSample> {
             std::vector<obs::DriftShardSample> out;
@@ -142,6 +141,7 @@ main(int argc, char **argv)
         };
         pump = std::make_unique<obs::TelemetryPump>(
             std::move(pump_conf));
+        pump->registerMetrics(registry);
         pump->start();
     }
 

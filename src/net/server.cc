@@ -2,6 +2,7 @@
 
 #include "obs/trace.hh"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
@@ -364,11 +365,26 @@ KvServer::workerLoop(Worker &w)
         conns.clear();
     };
 
+    std::chrono::steady_clock::time_point drain_until{};
     for (;;) {
         const bool stopping =
             stopping_.load(std::memory_order_seq_cst);
         if (stopping && conns.empty())
             break;
+        int poll_ms = 100;
+        if (stopping) {
+            // Past the drain deadline, output a peer has not read is
+            // dropped with its connection.
+            const auto now = std::chrono::steady_clock::now();
+            if (drain_until == decltype(drain_until){})
+                drain_until = now + kDrainDeadline;
+            if (now >= drain_until)
+                break;
+            const auto left =
+                std::chrono::ceil<std::chrono::milliseconds>(
+                    drain_until - now);
+            poll_ms = int(std::min<std::int64_t>(poll_ms, left.count()));
+        }
 
         pfds.clear();
         pollfd wake{};
@@ -387,7 +403,7 @@ KvServer::workerLoop(Worker &w)
         }
 
         const int n =
-            ::poll(pfds.data(), nfds_t(pfds.size()), 100);
+            ::poll(pfds.data(), nfds_t(pfds.size()), poll_ms);
         if (n < 0) {
             if (errno == EINTR)
                 continue;

@@ -24,8 +24,9 @@
  *     framing, dies mid-frame, or breaks its socket costs only its
  *     own connection;
  *   - graceful shutdown: stop() stops accepting, wakes every
- *     worker, flushes what can be flushed, closes all sockets and
- *     joins all threads.
+ *     worker, flushes what the peers read within kDrainDeadline,
+ *     closes all sockets and joins all threads, so a peer that never
+ *     reads cannot hold it up.
  *
  * Bind with port 0 to get an ephemeral port (port() reports the
  * real one) — the test-suite and same-process bench default.
@@ -35,6 +36,7 @@
 #define ADCACHE_NET_SERVER_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -69,6 +71,10 @@ class KvServer
      *  (see file comment): its backlog stays below this plus one
      *  response frame. */
     static constexpr std::size_t kOutputCap = 256 * 1024;
+
+    /** How long stop() keeps flushing pending output before it
+     *  closes the connections that still hold some. */
+    static constexpr std::chrono::milliseconds kDrainDeadline{500};
 
     KvServer(KvService &service, const KvServerConfig &config);
     ~KvServer();

@@ -1,12 +1,12 @@
 /**
  * @file
  * The counter schema of the served cache (docs/OBSERVABILITY.md,
- * "Counter schema"). Every KV-cache, service, transport and
- * trace-health counter is one row of the X-macro tables below, and
- * every export plane — the v1 STATS text and the StatRegistry reports
- * (one registry), Stats v2 and Prometheus — is a loop over the rows
- * (forEachCounter), so a counter has one name per plane and one value
- * in all of them.
+ * "Counter schema"). Every KV-cache, service, transport, trace-health
+ * and adaptation-drift counter is one row of the X-macro tables below,
+ * and every export plane — the v1 STATS text and the StatRegistry
+ * reports (one registry), Stats v2 and Prometheus — is a loop over the
+ * rows (forEachCounter), so a counter has one name per plane and one
+ * value in all of them.
  *
  * A row is X(value, v1, tag, scope[, prom[, shard_prom]]):
  *  - value: FIELD(member) of the owner's source `s` (KV rows declare
@@ -177,6 +177,19 @@
       NO_PROM, COUNTER("adcache_trace_dropped_total",                        \
                        "Trace events dropped per ring since the last reset"))
 
+/** Adaptation-drift rows; the source is the TelemetryPump's state (a
+ *  shard's EWMAs, or the crossing count for the global sample). */
+#define ADCACHE_DRIFT_COUNTERS(X)                                            \
+    X(RATIO(s.flipEwma), NO_V1, NO_TAG, ShardOnly, NO_PROM,                  \
+      GAUGE("adcache_kv_drift_flip_ewma",                                    \
+            "EWMA of per-op winner-flip rate"))                              \
+    X(RATIO(s.diffMissEwma), NO_V1, NO_TAG, ShardOnly, NO_PROM,              \
+      GAUGE("adcache_kv_drift_diffmiss_ewma",                                \
+            "EWMA of per-op differentiating-miss rate"))                     \
+    X(FIELD(events), NO_V1, NO_TAG, Global,                                  \
+      COUNTER("adcache_kv_drift_events_total",                               \
+              "Adaptation-drift threshold crossings (both signals)"))
+
 // clang-format on
 
 /* Column dispatch: a use of the tables pastes a prefix onto a column's
@@ -255,6 +268,8 @@ inline constexpr CounterRow kTransportCounterRows[] = {
     ADCACHE_TRANSPORT_COUNTERS(ADCACHE_COUNTER_ROW)};
 inline constexpr CounterRow kTraceCounterRows[] = {
     ADCACHE_TRACE_COUNTERS(ADCACHE_COUNTER_ROW)};
+inline constexpr CounterRow kDriftCounterRows[] = {
+    ADCACHE_DRIFT_COUNTERS(ADCACHE_COUNTER_ROW)};
 #undef NO_PROM
 #undef GAUGE
 #undef COUNTER

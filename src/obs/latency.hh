@@ -1,14 +1,13 @@
 /**
  * @file
  * The one latency histogram: the kv facade's per-op timings,
- * KvService's request latency, the YCSB driver and the
- * MetricsRegistry's histogram families all record into it.
+ * KvService's request latency and the YCSB driver all record into it.
  *
  * Buckets are upper-inclusive: 0..8 ns exact, then each octave
  * (2^t, 2^(t+1)] split into 8 equal sub-buckets up to
  * 2^kLatencyTopBit ns (~69 s), then one overflow bucket. Every power
- * of two is an edge, so the Prometheus `le` counts are exact sums of
- * buckets, and an edge overestimates its samples by at most 12.5%.
+ * of two is an edge, and an edge overestimates its samples by at most
+ * 12.5%.
  *
  * LatencyHistogram records into per-thread cells with relaxed loads
  * and stores (no lock-prefixed RMW); snapshot() merges them while
@@ -91,7 +90,7 @@ class LatencySnapshot
 };
 
 /** Most threads alive at once that record into per-thread cells
- *  (latency histograms and the MetricsRegistry's counters). */
+ *  (latency histograms and ThreadCounters). */
 inline constexpr unsigned kMaxRecordingThreads = 1024;
 
 /**

@@ -1,7 +1,6 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <string_view>
@@ -9,7 +8,6 @@
 
 #include "obs/counter_table.hh"
 #include "obs/trace.hh"
-#include "util/logging.hh"
 
 namespace adcache::obs
 {
@@ -17,179 +15,7 @@ namespace adcache::obs
 const char *
 metricKindName(MetricKind kind)
 {
-    switch (kind) {
-      case MetricKind::Counter:
-        return "counter";
-      case MetricKind::Gauge:
-        return "gauge";
-      case MetricKind::Histogram:
-        return "histogram";
-    }
-    return "untyped";
-}
-
-namespace detail
-{
-
-/**
- * One thread's slot array, grown in fixed chunks. Only the owning
- * thread writes cells; the scrape thread reads them, and discovers
- * freshly-allocated chunks through the release/acquire pair on the
- * chunk pointer. Cells are NOT padded apart: adjacent slots are only
- * ever written by the same thread, so there is no cross-thread false
- * sharing to pad away (distinct shards are distinct allocations).
- */
-class MetricsShard
-{
-  public:
-    static constexpr std::uint32_t kChunkSlots = 256;
-    static constexpr std::uint32_t kMaxChunks = 64;
-
-    MetricsShard() = default;
-
-    ~MetricsShard()
-    {
-        for (auto &c : chunks_)
-            delete[] c.load(std::memory_order_relaxed);
-    }
-
-    MetricsShard(const MetricsShard &) = delete;
-    MetricsShard &operator=(const MetricsShard &) = delete;
-
-    /** Owning thread only: the cell for @p slot, allocating its
-     *  chunk on first touch. */
-    std::atomic<std::uint64_t> &
-    cell(std::uint32_t slot)
-    {
-        const std::uint32_t ci = slot / kChunkSlots;
-        adcache_assert(ci < kMaxChunks);
-        std::atomic<std::uint64_t> *chunk =
-            chunks_[ci].load(std::memory_order_relaxed);
-        if (chunk == nullptr) {
-            chunk = new std::atomic<std::uint64_t>[kChunkSlots]();
-            chunks_[ci].store(chunk, std::memory_order_release);
-        }
-        return chunk[slot % kChunkSlots];
-    }
-
-    /** Any thread: current value of @p slot (0 if never touched). */
-    std::uint64_t
-    read(std::uint32_t slot) const
-    {
-        const std::uint32_t ci = slot / kChunkSlots;
-        if (ci >= kMaxChunks)
-            return 0;
-        const std::atomic<std::uint64_t> *chunk =
-            chunks_[ci].load(std::memory_order_acquire);
-        if (chunk == nullptr)
-            return 0;
-        return chunk[slot % kChunkSlots].load(
-            std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::atomic<std::uint64_t> *> chunks_[kMaxChunks] =
-        {};
-};
-
-} // namespace detail
-
-class MetricsRegistryImpl
-{
-  public:
-    detail::Family *
-    findOrCreate(MetricKind kind, const std::string &name,
-                 const std::string &help,
-                 const MetricLabels &labels,
-                 std::uint32_t slotsNeeded)
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        for (auto &f : families)
-            if (f->name == name && f->labels == labels) {
-                adcache_assert(f->kind == kind);
-                return f.get();
-            }
-        auto f = std::make_unique<detail::Family>();
-        f->owner = this;
-        f->kind = kind;
-        f->name = name;
-        f->help = help;
-        f->labels = labels;
-        f->slot = nextSlot;
-        nextSlot += slotsNeeded;
-        families.push_back(std::move(f));
-        return families.back().get();
-    }
-
-    /** The calling thread's shard, created at its first use. Only
-     *  the holder of a thread slot publishes into it. */
-    detail::MetricsShard &
-    localShard()
-    {
-        const unsigned slot = threadSlot();
-        detail::MetricsShard *shard =
-            bySlot[slot].load(std::memory_order_relaxed);
-        if (shard == nullptr) {
-            std::lock_guard<std::mutex> lock(mtx);
-            shard = shards.emplace_back(new detail::MetricsShard).get();
-            bySlot[slot].store(shard, std::memory_order_relaxed);
-        }
-        return *shard;
-    }
-
-    std::uint64_t
-    sumSlot(std::uint32_t slot) const
-    {
-        std::uint64_t total = 0;
-        for (const auto &s : shards)
-            total += s->read(slot);
-        return total;
-    }
-
-    mutable std::mutex mtx;
-    std::vector<std::unique_ptr<detail::Family>> families;
-    std::uint32_t nextSlot = 0;
-    /** Every shard, for scrapes (under mtx), and each thread slot's. */
-    std::vector<std::unique_ptr<detail::MetricsShard>> shards;
-    std::atomic<detail::MetricsShard *> bySlot[kMaxRecordingThreads] = {};
-    std::vector<std::function<void(MetricsSink &)>> collectors;
-};
-
-void
-Counter::inc(std::uint64_t n)
-{
-    if (family_ == nullptr)
-        return;
-    std::atomic<std::uint64_t> &c =
-        family_->owner->localShard().cell(family_->slot);
-    // Owner-thread-only cell: load+store beats a lock-prefixed RMW.
-    c.store(c.load(std::memory_order_relaxed) + n,
-            std::memory_order_relaxed);
-}
-
-std::uint64_t
-Counter::value() const
-{
-    if (family_ == nullptr)
-        return 0;
-    MetricsRegistryImpl *impl = family_->owner;
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    return impl->sumSlot(family_->slot);
-}
-
-void
-Gauge::set(double v)
-{
-    if (family_ != nullptr)
-        family_->gauge.store(v, std::memory_order_relaxed);
-}
-
-double
-Gauge::value() const
-{
-    if (family_ == nullptr)
-        return 0.0;
-    return family_->gauge.load(std::memory_order_relaxed);
+    return kind == MetricKind::Counter ? "counter" : "gauge";
 }
 
 const MetricSample *
@@ -235,111 +61,28 @@ MetricsSink::gauge(std::string name, MetricLabels labels, double v,
     out_->push_back(std::move(s));
 }
 
-MetricsRegistry::MetricsRegistry()
-    : impl_(std::make_unique<MetricsRegistryImpl>())
-{
-}
-
-MetricsRegistry::~MetricsRegistry() = default;
-
-Counter
-MetricsRegistry::counter(const std::string &name,
-                         const std::string &help,
-                         const MetricLabels &labels)
-{
-    return Counter(impl_->findOrCreate(MetricKind::Counter, name,
-                                       help, labels, 1));
-}
-
-Gauge
-MetricsRegistry::gauge(const std::string &name,
-                       const std::string &help,
-                       const MetricLabels &labels)
-{
-    // Gauges live in the Family's own atomic, no shard slot.
-    return Gauge(impl_->findOrCreate(MetricKind::Gauge, name, help,
-                                     labels, 0));
-}
-
-HistogramHandle
-MetricsRegistry::histogram(const std::string &name,
-                           const std::string &help,
-                           const MetricLabels &labels,
-                           std::shared_ptr<LatencyHistogram> hist)
-{
-    detail::Family *f = impl_->findOrCreate(MetricKind::Histogram, name,
-                                            help, labels, 0);
-    std::lock_guard<std::mutex> lock(impl_->mtx);
-    if (hist)
-        f->hist = std::move(hist);
-    else if (!f->hist)
-        f->hist = std::make_shared<LatencyHistogram>();
-    return HistogramHandle(f->hist);
-}
-
 void
-MetricsRegistry::addCollector(std::function<void(MetricsSink &)> fn)
+MetricsRegistry::addCollector(Collector fn)
 {
-    std::lock_guard<std::mutex> lock(impl_->mtx);
-    impl_->collectors.push_back(std::move(fn));
+    std::lock_guard<std::mutex> lock(mtx_);
+    collectors_.push_back(std::move(fn));
 }
 
 MetricsSnapshot
 MetricsRegistry::scrape() const
 {
-    MetricsSnapshot snap;
-    std::vector<std::function<void(MetricsSink &)>> collectors;
+    std::vector<Collector> collectors;
     {
-        std::lock_guard<std::mutex> lock(impl_->mtx);
-        for (const auto &f : impl_->families) {
-            MetricSample s;
-            s.name = f->name;
-            s.help = f->help;
-            s.kind = f->kind;
-            s.labels = f->labels;
-            switch (f->kind) {
-              case MetricKind::Counter:
-                s.value = double(impl_->sumSlot(f->slot));
-                break;
-              case MetricKind::Gauge:
-                s.value = f->gauge.load(std::memory_order_relaxed);
-                break;
-              case MetricKind::Histogram: {
-                // Each le edge is a fine-bucket edge: fold the fine
-                // buckets up to it into its count.
-                const LatencySnapshot h = f->hist->snapshot();
-                s.buckets.assign(kHistBuckets + 1, 0);
-                unsigned le = 0;
-                for (unsigned b = 0; b < kLatencyBuckets; ++b) {
-                    while (le < kHistBuckets &&
-                           latencyBucketEdge(b) >
-                               std::uint64_t(1) << (kHistLoBit + le))
-                        ++le;
-                    s.buckets[le] += h.bucket(b);
-                }
-                s.count = h.count();
-                s.sum = double(h.sumNs());
-                break;
-              }
-            }
-            snap.samples.push_back(std::move(s));
-        }
-        collectors = impl_->collectors;
+        std::lock_guard<std::mutex> lock(mtx_);
+        collectors = collectors_;
     }
-    // Collectors run outside the registry lock: they may grab
-    // component locks (shard mutexes) that themselves protect code
-    // holding metric handles.
+    // Collectors run outside the registry lock: they take component
+    // locks (shard mutexes, the pump's).
+    MetricsSnapshot snap;
     MetricsSink sink(&snap.samples);
-    for (const auto &fn : collectors)
+    for (const Collector &fn : collectors)
         fn(sink);
     return snap;
-}
-
-std::size_t
-MetricsRegistry::familyCount() const
-{
-    std::lock_guard<std::mutex> lock(impl_->mtx);
-    return impl_->families.size();
 }
 
 namespace
@@ -388,24 +131,6 @@ appendLabels(std::string &out, const MetricLabels &labels)
     out += '}';
 }
 
-/** One extra label appended to a family's set (for le="..."). */
-void
-appendLabelsPlus(std::string &out, const MetricLabels &labels,
-                 const std::string &key, const std::string &val)
-{
-    out += '{';
-    for (const auto &[k, v] : labels) {
-        out += k;
-        out += "=\"";
-        appendEscaped(out, v, /*escapeQuote=*/true);
-        out += "\",";
-    }
-    out += key;
-    out += "=\"";
-    appendEscaped(out, val, /*escapeQuote=*/true);
-    out += "\"}";
-}
-
 void
 appendValue(std::string &out, double v)
 {
@@ -423,8 +148,7 @@ std::string
 renderPrometheus(const MetricsSnapshot &snap)
 {
     // The exposition format wants all lines of a family in one
-    // group, but registration interleaves families (per-shard
-    // gauges created shard by shard, collectors looping shards):
+    // group, but collectors looping shards interleave families:
     // render family by family, in first-appearance order, samples
     // in scrape order within one.
     std::unordered_map<std::string_view, std::size_t> rank;
@@ -462,48 +186,12 @@ renderPrometheus(const MetricsSnapshot &snap)
         out += '\n';
     };
 
-    for (const MetricSample *sample : grouped) {
-        const MetricSample &s = *sample;
-        announce(s);
-        if (s.kind != MetricKind::Histogram) {
-            out += s.name;
-            appendLabels(out, s.labels);
-            out += ' ';
-            appendValue(out, s.value);
-            out += '\n';
-            continue;
-        }
-        std::uint64_t cum = 0;
-        for (unsigned b = 0; b < s.buckets.size(); ++b) {
-            cum += s.buckets[b];
-            out += s.name;
-            out += "_bucket";
-            std::string le;
-            if (b >= kHistBuckets) {
-                le = "+Inf";
-            } else {
-                char buf[32];
-                std::snprintf(buf, sizeof buf, "%" PRIu64,
-                              std::uint64_t(1)
-                                  << (kHistLoBit + b));
-                le = buf;
-            }
-            appendLabelsPlus(out, s.labels, "le", le);
-            out += ' ';
-            appendValue(out, double(cum));
-            out += '\n';
-        }
-        out += s.name;
-        out += "_sum";
-        appendLabels(out, s.labels);
+    for (const MetricSample *s : grouped) {
+        announce(*s);
+        out += s->name;
+        appendLabels(out, s->labels);
         out += ' ';
-        appendValue(out, s.sum);
-        out += '\n';
-        out += s.name;
-        out += "_count";
-        appendLabels(out, s.labels);
-        out += ' ';
-        appendValue(out, double(s.count));
+        appendValue(out, s->value);
         out += '\n';
     }
     return out;
@@ -530,76 +218,6 @@ registerTraceMetrics(MetricsRegistry &reg)
             traceCounterTable(), droppedTotal(), rings, 0,
             [&](const CounterSample &c) { collectSample(sink, c, "ring"); });
     });
-}
-
-namespace
-{
-
-__attribute__((noinline)) void
-counterCostSink(std::uint64_t v)
-{
-    asm volatile("" : : "r"(v) : "memory");
-}
-
-/**
- * Marginal cost of @p op: the same paired-loop shape as
- * measureGateCostNs. A serial dependency chain keeps both loops
- * honest, and the difference is the cost of one op(i).
- */
-template <typename Op>
-double
-marginalCostNs(Op op)
-{
-    constexpr int kIters = 1 << 18;
-    constexpr int kReps = 7;
-
-    auto timeLoop = [](auto body) {
-        double best = 1e18;
-        for (int rep = 0; rep < kReps; ++rep) {
-            const std::uint64_t t0 = nowNs();
-            std::uint64_t acc = 1;
-            for (int i = 0; i < kIters; ++i)
-                acc = body(acc, i);
-            counterCostSink(acc);
-            const std::uint64_t t1 = nowNs();
-            best = std::min(best, double(t1 - t0));
-        }
-        return best / kIters;
-    };
-
-    const double plain =
-        timeLoop([](std::uint64_t acc, int i) -> std::uint64_t {
-            return acc * 2654435761u + unsigned(i);
-        });
-    const double timed =
-        timeLoop([&](std::uint64_t acc, int i) -> std::uint64_t {
-            op(i);
-            return acc * 2654435761u + unsigned(i);
-        });
-    return std::max(0.0, timed - plain);
-}
-
-} // namespace
-
-double
-measureCounterCostNs(MetricsRegistry &reg)
-{
-    Counter c = reg.counter("adcache_bench_inc_total",
-                            "counter-cost measurement scratch");
-    c.inc(); // claim the thread slot, shard and chunk before timing
-    return marginalCostNs([&](int) { c.inc(); });
-}
-
-double
-measureHistogramCostNs(MetricsRegistry &reg)
-{
-    HistogramHandle h = reg.histogram("adcache_bench_observe_ns",
-                                      "histogram-cost measurement scratch");
-    h.observe(1); // claim the thread slot + cell before timing
-    // Spread samples over ~1 us .. ~1 ms so bucket indexing runs
-    // for real.
-    return marginalCostNs(
-        [&](int i) { h.observe(std::uint64_t(1000 + (i & 1023) * 997)); });
 }
 
 } // namespace adcache::obs

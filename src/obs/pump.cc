@@ -20,10 +20,6 @@ TelemetryPump::TelemetryPump(TelemetryPumpConfig config)
         config_.logSink = [](const std::string &line) {
             std::fprintf(stderr, "%s\n", line.c_str());
         };
-    if (config_.metrics != nullptr)
-        driftCounter_ = config_.metrics->counter(
-            "adcache_kv_drift_events_total",
-            "Adaptation-drift threshold crossings (both signals)");
 }
 
 TelemetryPump::~TelemetryPump() { stop(); }
@@ -69,26 +65,6 @@ TelemetryPump::run()
 }
 
 void
-TelemetryPump::publishGauges(std::size_t shard,
-                             const DriftVerdict &v)
-{
-    if (config_.metrics == nullptr)
-        return;
-    while (flipGauges_.size() <= shard) {
-        const MetricLabels labels = {
-            {"shard", std::to_string(flipGauges_.size())}};
-        flipGauges_.push_back(config_.metrics->gauge(
-            "adcache_kv_drift_flip_ewma",
-            "EWMA of per-op winner-flip rate", labels));
-        diffMissGauges_.push_back(config_.metrics->gauge(
-            "adcache_kv_drift_diffmiss_ewma",
-            "EWMA of per-op differentiating-miss rate", labels));
-    }
-    flipGauges_[shard].set(v.flipEwma);
-    diffMissGauges_[shard].set(v.diffMissEwma);
-}
-
-void
 TelemetryPump::tickOnce()
 {
     std::uint64_t period;
@@ -115,7 +91,13 @@ TelemetryPump::tickOnce()
             delta(cur[s].diffMisses, prev_[s].diffMisses);
         const std::uint64_t ops = delta(cur[s].ops, prev_[s].ops);
         const DriftVerdict v = monitor_.sample(s, flips, dm, ops);
-        publishGauges(s, v);
+        {
+            std::lock_guard<std::mutex> lock(mtx_);
+            if (shardDrift_.size() <= s)
+                shardDrift_.resize(s + 1);
+            shardDrift_[s].flipEwma = v.flipEwma;
+            shardDrift_[s].diffMissEwma = v.diffMissEwma;
+        }
 
         auto fire = [&](DriftSignal sig, double ewma,
                         double threshold) {
@@ -134,7 +116,6 @@ TelemetryPump::tickOnce()
                 (unsigned long long)period,
                 (unsigned long long)cur[s].ops);
             config_.logSink(line);
-            driftCounter_.inc();
             std::lock_guard<std::mutex> lock(mtx_);
             ++driftEvents_;
         };
@@ -160,6 +141,31 @@ TelemetryPump::driftEvents() const
 {
     std::lock_guard<std::mutex> lock(mtx_);
     return driftEvents_;
+}
+
+CounterTable<TelemetryPump::DriftState>
+TelemetryPump::driftCounterTable()
+{
+    using Value = CounterValue<DriftState>;
+#define ADCACHE_VALUE_FIELD(f)                                            \
+    Value{[](const DriftState &s, unsigned) { return s.f; }}
+#define ADCACHE_VALUE_RATIO(e)                                            \
+    Value{nullptr, [](const DriftState &s) { return e; }}
+    static constexpr Value values[] = {
+        ADCACHE_DRIFT_COUNTERS(ADCACHE_COUNTER_VALUE)};
+    return {kDriftCounterRows, values};
+}
+
+void
+TelemetryPump::registerMetrics(MetricsRegistry &reg)
+{
+    reg.addCollector([this](MetricsSink &sink) {
+        std::lock_guard<std::mutex> lock(mtx_);
+        forEachCounter<DriftState>(
+            driftCounterTable(), DriftState{0.0, 0.0, driftEvents_},
+            shardDrift_, 0,
+            [&](const CounterSample &c) { collectSample(sink, c); });
+    });
 }
 
 } // namespace adcache::obs

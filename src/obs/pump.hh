@@ -11,9 +11,10 @@
  *     driftSampler, converts them to per-period deltas, and feeds
  *     the DriftMonitor — each threshold crossing emits a `kv_drift`
  *     trace event and one structured log line, and
- *  3. publishes the rolling drift EWMAs as per-shard gauges in the
- *     metrics registry (when one is attached), so /metrics shows
- *     adaptation health, not just raw counters.
+ *  3. keeps each shard's rolling drift EWMAs and the crossing count,
+ *     which registerMetrics() exposes as the ADCACHE_DRIFT_COUNTERS
+ *     rows, so /metrics shows adaptation health, not just raw
+ *     counters.
  *
  * Everything the pump does is scrape-rate work: nothing here touches
  * a request hot path. Tests drive it deterministically with
@@ -33,8 +34,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/counter_table.hh"
 #include "obs/drift.hh"
-#include "obs/metrics.hh"
 #include "obs/snapshot.hh"
 
 namespace adcache::obs
@@ -63,9 +64,6 @@ struct TelemetryPumpConfig
     /** Receives one structured line per drift crossing; defaults to
      *  stderr. */
     std::function<void(const std::string &)> logSink;
-    /** When set, drift EWMAs are published as per-shard gauges and
-     *  crossings counted, under adcache_kv_drift_*. */
-    MetricsRegistry *metrics = nullptr;
 };
 
 class TelemetryPump
@@ -96,30 +94,41 @@ class TelemetryPump
     /** kv_drift crossings observed so far (both signals). */
     std::uint64_t driftEvents() const;
 
+    /** Scrape-time drift metrics (adcache_kv_drift_*) in @p reg; the
+     *  pump must outlive the registry's scrapes. */
+    void registerMetrics(MetricsRegistry &reg);
+
     /** The accumulated snapshot rows (empty without a sampler). */
     const SnapshotSeries *series() const { return series_.get(); }
 
   private:
+    /** The source of the ADCACHE_DRIFT_COUNTERS rows: one per shard
+     *  (EWMAs), and the total (crossings). */
+    struct DriftState
+    {
+        double flipEwma = 0.0;
+        double diffMissEwma = 0.0;
+        std::uint64_t events = 0;
+    };
+
+    static CounterTable<DriftState> driftCounterTable();
+
     void run();
-    void publishGauges(std::size_t shard, const DriftVerdict &v);
 
     TelemetryPumpConfig config_;
     DriftMonitor monitor_;
     std::unique_ptr<SnapshotSeries> series_;
     std::vector<DriftShardSample> prev_;
 
-    // Lazily created per-shard gauges (index = shard).
-    std::vector<Gauge> flipGauges_;
-    std::vector<Gauge> diffMissGauges_;
-    Counter driftCounter_;
-
-    mutable std::mutex mtx_; //!< guards tick state + cv
+    mutable std::mutex mtx_; //!< guards tick state, the drift state + cv
     std::condition_variable cv_;
     std::thread thread_;
     bool running_ = false;
     bool stopRequested_ = false;
     std::uint64_t periods_ = 0;
     std::uint64_t driftEvents_ = 0;
+    /** Each sampled shard's latest EWMAs (index = shard). */
+    std::vector<DriftState> shardDrift_;
 };
 
 } // namespace adcache::obs

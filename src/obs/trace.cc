@@ -213,59 +213,22 @@ nowNs()
             .count());
 }
 
-namespace
-{
-
-// Opaque call target for the measurement below: forces the gate to
-// compile as a real branch (a call cannot be if-converted), exactly
-// like the emit() calls the production gates guard.
 __attribute__((noinline)) void
-gateCostSink(std::uint64_t v)
+costSink(std::uint64_t v)
 {
     asm volatile("" : : "r"(v) : "memory");
 }
 
-} // namespace
-
 double
 measureGateCostNs()
 {
-    // Time two otherwise identical loops — one with the disabled
-    // gate check in the body — best-of-N each, and report the
-    // difference. Both loops carry a serial dependency chain so
-    // neither vectorizes, and the gated body guards an opaque call
-    // so the check compiles to load + predicted-not-taken branch
-    // (a cmov would splice the load into the dependency chain and
-    // overstate the cost ~100x vs the real call sites).
-    constexpr int kIters = 1 << 20;
-    constexpr int kReps = 7;
-
-    auto timeLoop = [](auto body) {
-        double best = 1e18;
-        for (int rep = 0; rep < kReps; ++rep) {
-            const std::uint64_t t0 = nowNs();
-            std::uint64_t acc = 1;
-            for (int i = 0; i < kIters; ++i)
-                acc = body(acc, i);
-            asm volatile("" : : "r"(acc) : "memory");
-            const std::uint64_t t1 = nowNs();
-            best = std::min(best, double(t1 - t0));
-        }
-        return best / kIters;
-    };
-
-    const double plain =
-        timeLoop([](std::uint64_t acc, int i) -> std::uint64_t {
-            return acc * 2654435761u + unsigned(i);
-        });
-    const double gated =
-        timeLoop([](std::uint64_t acc, int i) -> std::uint64_t {
-            const std::uint64_t v = acc * 2654435761u + unsigned(i);
-            if (traceEnabled())
-                gateCostSink(v);
-            return v;
-        });
-    return std::max(0.0, gated - plain);
+    // The gate guards an opaque call, so it compiles to a load and a
+    // predicted-not-taken branch, exactly like the emit() calls the
+    // production gates guard.
+    return marginalCostNs([](int i) {
+        if (traceEnabled())
+            costSink(std::uint64_t(i));
+    });
 }
 
 } // namespace adcache::obs

@@ -20,6 +20,7 @@
 #ifndef ADCACHE_OBS_TRACE_HH
 #define ADCACHE_OBS_TRACE_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -157,11 +158,46 @@ class ScopedSpan
     bool live_ = false;
 };
 
+/** An opaque call: the compiler can neither drop nor fold it. */
+void costSink(std::uint64_t v);
+
 /**
- * Measure the marginal cost of one disabled `traceEnabled()` check,
- * in nanoseconds (>= 0; clamped). Used by the perf_regress overhead
- * gate, see bench/perf_regress.cc.
+ * Marginal cost of one @p op(i), in nanoseconds (>= 0; clamped): the
+ * best of 7 timings of two otherwise identical loops, the second also
+ * calling @p op. Both carry a serial dependency chain so neither
+ * vectorizes. The perf_regress overhead gates' unit of measure.
  */
+template <class Op>
+double
+marginalCostNs(Op op)
+{
+    constexpr int kIters = 1 << 20;
+    constexpr int kReps = 7;
+    auto timeLoop = [](auto body) {
+        double best = 1e18;
+        for (int rep = 0; rep < kReps; ++rep) {
+            const std::uint64_t t0 = nowNs();
+            std::uint64_t acc = 1;
+            for (int i = 0; i < kIters; ++i)
+                acc = body(acc, i);
+            costSink(acc);
+            best = std::min(best, double(nowNs() - t0));
+        }
+        return best / kIters;
+    };
+    const double plain =
+        timeLoop([](std::uint64_t acc, int i) -> std::uint64_t {
+            return acc * 2654435761u + unsigned(i);
+        });
+    const double with_op =
+        timeLoop([&](std::uint64_t acc, int i) -> std::uint64_t {
+            op(i);
+            return acc * 2654435761u + unsigned(i);
+        });
+    return std::max(0.0, with_op - plain);
+}
+
+/** The marginal cost of one disabled `traceEnabled()` check. */
 double measureGateCostNs();
 
 } // namespace adcache::obs

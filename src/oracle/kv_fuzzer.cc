@@ -8,6 +8,7 @@
 #include <sstream>
 #include <thread>
 
+#include "oracle/ddmin.hh"
 #include "util/logging.hh"
 
 namespace adcache
@@ -413,44 +414,9 @@ KvConcurrencyFuzzer::shrink(
     const std::function<bool(const KvFuzzSchedule &)> &still_fails,
     KvFuzzSchedule failing)
 {
-    adcache_assert(still_fails(failing));
-
-    // ddmin: try removing chunks at halving granularity until no
-    // single-op removal keeps the schedule failing (the same loop as
-    // TraceFuzzer::shrink, minus the divergence-point truncation —
-    // concurrent failures have no deterministic index).
-    std::size_t chunks = 2;
-    while (failing.size() >= 2) {
-        const std::size_t n = failing.size();
-        chunks = std::min(chunks, n);
-        const std::size_t chunk_len = (n + chunks - 1) / chunks;
-
-        bool removed = false;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            const std::size_t lo = c * chunk_len;
-            if (lo >= n)
-                break;
-            const std::size_t hi = std::min(n, lo + chunk_len);
-            KvFuzzSchedule candidate;
-            candidate.reserve(n - (hi - lo));
-            candidate.insert(candidate.end(), failing.begin(),
-                             failing.begin() + lo);
-            candidate.insert(candidate.end(), failing.begin() + hi,
-                             failing.end());
-            if (!candidate.empty() && still_fails(candidate)) {
-                failing = std::move(candidate);
-                chunks = std::max<std::size_t>(2, chunks - 1);
-                removed = true;
-                break;
-            }
-        }
-        if (!removed) {
-            if (chunks >= n)
-                break; // single-op granularity exhausted
-            chunks = std::min(n, 2 * chunks);
-        }
-    }
-    return failing;
+    // No divergence-point truncation, unlike the trace shrinker:
+    // concurrent failures have no deterministic index.
+    return ddmin(std::move(failing), still_fails);
 }
 
 std::string

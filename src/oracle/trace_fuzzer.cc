@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "oracle/ddmin.hh"
 #include "util/logging.hh"
 
 namespace adcache
@@ -203,42 +204,7 @@ TraceFuzzer::shrink(const DifferentialChecker &checker,
         return false;
     };
 
-    adcache_assert(fails(failing));
-
-    // ddmin: try removing chunks at halving granularity until no
-    // single-access removal keeps the stream failing.
-    std::size_t chunks = 2;
-    while (failing.size() >= 2) {
-        const std::size_t n = failing.size();
-        chunks = std::min(chunks, n);
-        const std::size_t chunk_len = (n + chunks - 1) / chunks;
-
-        bool removed = false;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            const std::size_t lo = c * chunk_len;
-            if (lo >= n)
-                break;
-            const std::size_t hi = std::min(n, lo + chunk_len);
-            std::vector<Access> candidate;
-            candidate.reserve(n - (hi - lo));
-            candidate.insert(candidate.end(), failing.begin(),
-                             failing.begin() + lo);
-            candidate.insert(candidate.end(),
-                             failing.begin() + hi, failing.end());
-            if (!candidate.empty() && fails(candidate)) {
-                failing = std::move(candidate);
-                chunks = std::max<std::size_t>(2, chunks - 1);
-                removed = true;
-                break;
-            }
-        }
-        if (!removed) {
-            if (chunks >= n)
-                break;  // single-access granularity exhausted
-            chunks = std::min(n, 2 * chunks);
-        }
-    }
-    return failing;
+    return ddmin(std::move(failing), fails);
 }
 
 std::string

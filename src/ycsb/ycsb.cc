@@ -10,7 +10,6 @@
 #include "net/client.hh"
 #include "net/loopback.hh"
 #include "net/service.hh"
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 #include "util/stat_registry.hh"
 
@@ -292,35 +291,9 @@ YcsbDriver::run()
     std::vector<std::thread> threads;
     std::atomic<unsigned> loadFailures{0};
 
-    // Live-metrics handles (inert when no registry is wired). Each
-    // client thread increments through its own per-thread shard, so
-    // sharing the handles across the fleet costs nothing; the same
-    // holds for the latency histograms' per-thread cells.
-    struct OpHandles
-    {
-        obs::Counter ops;
-        obs::Counter failures;
-        std::shared_ptr<obs::LatencyHistogram> latency =
-            std::make_shared<obs::LatencyHistogram>();
-    };
-    obs::Counter loadOpsCounter;
-    std::array<OpHandles, kNumOpClasses> handles{};
-    if (config_.metrics) {
-        loadOpsCounter = config_.metrics->counter(
-            "ycsb_load_ops_total", "LOAD-phase puts issued");
-        for (unsigned c = 0; c < kNumOpClasses; ++c) {
-            const obs::MetricLabels labels{
-                {"op", opClassName(OpClass(c))}};
-            handles[c].ops = config_.metrics->counter(
-                "ycsb_ops_total", "RUN-phase ops issued", labels);
-            handles[c].failures = config_.metrics->counter(
-                "ycsb_failures_total",
-                "RUN-phase ops answered NotFound/Error", labels);
-            config_.metrics->histogram("ycsb_op_latency_ns",
-                                       "Per-op latency", labels,
-                                       handles[c].latency);
-        }
-    }
+    // One histogram per op class, shared by every client: each
+    // records into its own per-thread cells.
+    std::array<obs::LatencyHistogram, kNumOpClasses> latency;
 
     // --- LOAD phase: each client PUTs its disjoint record slice. ---
     const Clock::time_point load_start = Clock::now();
@@ -347,7 +320,6 @@ YcsbDriver::run()
                                config_.ttl))
                     ++st.errors;
                 ++st.loadOps;
-                loadOpsCounter.inc();
             }
         });
     }
@@ -422,10 +394,7 @@ YcsbDriver::run()
                                        std::uint64_t failures) {
                 st.ops[unsigned(c)] += ops;
                 st.failures[unsigned(c)] += failures;
-                OpHandles &h = handles[unsigned(c)];
-                h.ops.inc(ops);
-                h.failures.inc(failures);
-                h.latency->record(ns);
+                latency[unsigned(c)].record(ns);
             };
             const auto timeInto = [&](OpClass c, std::uint64_t ns,
                                       bool ok) {
@@ -617,7 +586,7 @@ YcsbDriver::run()
         }
     }
     for (unsigned c = 0; c < kNumOpClasses; ++c)
-        result.classes[c].latency = handles[c].latency->snapshot();
+        result.classes[c].latency = latency[c].snapshot();
     return result;
 }
 

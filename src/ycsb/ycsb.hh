@@ -58,11 +58,6 @@ namespace adcache::net
 class KvService;
 }
 
-namespace adcache::obs
-{
-class MetricsRegistry;
-}
-
 namespace adcache::ycsb
 {
 
@@ -198,18 +193,6 @@ struct YcsbConfig
     std::uint32_t slowdownUs = 1000;
     /** ShardLoss: dead-shard mask armed at the trigger. */
     std::uint64_t deadShardMask = 1;
-
-    /**
-     * When set, the driver registers live benchmark metrics here —
-     * ycsb_load_ops_total, and per-op-class ycsb_ops_total{op=},
-     * ycsb_failures_total{op=}, ycsb_op_latency_ns{op=} — and every
-     * client thread feeds them as it runs (the registry's per-thread
-     * shards make that contention-free), so a concurrent scrape
-     * watches the run live and the final scrape matches the
-     * YcsbResult totals. ycsb_op_latency_ns{op=} exposes the run's
-     * own per-class histograms (a later run replaces them).
-     */
-    obs::MetricsRegistry *metrics = nullptr;
 
     /** "A" .. "F" with the headline mix, for reports. */
     std::string describe() const;

@@ -5,7 +5,8 @@
  * shared service, byte-at-a-time partial sends over a raw socket,
  * per-connection error isolation (garbage framing kills only the
  * offending connection), and graceful shutdown (stop() while clients
- * are connected; idempotent stop; restartability of a fresh server).
+ * are connected, or while a peer never reads; idempotent stop;
+ * restartability of a fresh server).
  * These run under the `server` ctest label and must pass under asan.
  */
 
@@ -18,6 +19,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -87,6 +89,31 @@ rawSendAll(int fd, std::string_view bytes)
         off += std::size_t(n);
     }
     return true;
+}
+
+/**
+ * Send @p bytes on the non-blocking @p fd until they are all sent or
+ * the socket stays full for 20 waits of 10 ms (the server has taken
+ * what it will); @return the bytes sent.
+ */
+std::size_t
+sendUntilStalled(int fd, std::string_view bytes)
+{
+    std::size_t written = 0;
+    for (int stalls = 0; written < bytes.size() && stalls < 20;) {
+        const ssize_t n = ::send(fd, bytes.data() + written,
+                                 bytes.size() - written, MSG_NOSIGNAL);
+        if (n > 0) {
+            written += std::size_t(n);
+            stalls = 0;
+        } else if (n < 0 && errno != EINTR) {
+            EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK)
+                << std::strerror(errno);
+            ++stalls;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+    }
+    return written;
 }
 
 /** Read frames off @p fd until one full response arrives. */
@@ -504,22 +531,7 @@ TEST_F(ServerTest, NeverReadingClientIsBackpressured)
     std::string burst;
     for (std::size_t i = 0; i < kFrames; ++i)
         burst += get;
-    // Non-blocking writes that stop at EAGAIN: a few short waits give
-    // the server time to take what it will, then the client gives up.
-    std::size_t written = 0;
-    for (int stalls = 0; written < burst.size() && stalls < 20;) {
-        const ssize_t n = ::send(fd, burst.data() + written,
-                                 burst.size() - written, MSG_NOSIGNAL);
-        if (n > 0) {
-            written += std::size_t(n);
-            stalls = 0;
-        } else if (n < 0 && errno != EINTR) {
-            ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK)
-                << std::strerror(errno);
-            ++stalls;
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-    }
+    const std::size_t written = sendUntilStalled(fd, burst);
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
     // The other connection is served meanwhile.
@@ -534,6 +546,42 @@ TEST_F(ServerTest, NeverReadingClientIsBackpressured)
     // the client managed to write (a server that drains every
     // readable socket would have read all of them).
     EXPECT_LT(server_->bytesReceived(), written);
+    ::close(fd);
+}
+
+TEST_F(ServerTest, StopReturnsWhilePeerNeverReads)
+{
+    // A client pipelines GETs of a 1 KiB value and never reads, so
+    // the lone worker holds more output than the socket will take.
+    // stop() flushes until the drain deadline, then closes the
+    // connection with its output still pending.
+    startServer(/*read_through=*/false, /*workers=*/1);
+    KvClient other;
+    ASSERT_TRUE(other.connect("127.0.0.1", server_->port()));
+    ASSERT_TRUE(other.put(7, std::string(1024, 'V')));
+
+    const int fd = rawConnect(server_->port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK),
+              0);
+    std::string burst;
+    const std::string get = encodedFrame(Message::get(7));
+    for (int i = 0; i < 20'000; ++i)
+        burst += get;
+    sendUntilStalled(fd, burst);
+    // Wait until the worker has filled the connection's output.
+    for (int i = 0; i < 500 && server_->outBufHighWater() <
+                                   KvServer::kOutputCap;
+         ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_GE(server_->outBufHighWater(), KvServer::kOutputCap);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    server_->stop();
+    const auto took = std::chrono::steady_clock::now() - t0;
+    EXPECT_FALSE(server_->running());
+    EXPECT_LT(took, KvServer::kDrainDeadline +
+                        std::chrono::milliseconds(100));
     ::close(fd);
 }
 

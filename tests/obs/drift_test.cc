@@ -3,7 +3,7 @@
  * DriftMonitor + TelemetryPump tests with synthetic flip storms:
  * warmup suppression, edge-triggered crossings, cooldown latching,
  * idle-period EWMA freezing, and the pump loop end to end —
- * driftSampler deltas in, kv_drift log lines + registry gauges out.
+ * driftSampler deltas in, kv_drift log lines + scraped drift rows out.
  */
 
 #include <gtest/gtest.h>
@@ -127,7 +127,6 @@ TEST(TelemetryPump, TurnsCumulativeCountersIntoCrossings)
 
     TelemetryPumpConfig config;
     config.drift = fastConfig();
-    config.metrics = &reg;
     config.logSink = [&lines](const std::string &line) {
         lines.push_back(line);
     };
@@ -140,6 +139,7 @@ TEST(TelemetryPump, TurnsCumulativeCountersIntoCrossings)
         return out;
     };
     TelemetryPump pump(std::move(config));
+    pump.registerMetrics(reg);
 
     // Baseline tick, then a sustained storm: +100 flips per +1000
     // ops each period.
@@ -156,7 +156,7 @@ TEST(TelemetryPump, TurnsCumulativeCountersIntoCrossings)
     EXPECT_NE(lines[0].find("signal=winner_flips"),
               std::string::npos);
 
-    // The EWMA gauge and crossing counter landed in the registry.
+    // The EWMA gauge and crossing counter are in the scrape.
     const MetricsSnapshot snap = reg.scrape();
     const MetricSample *gauge = snap.find(
         "adcache_kv_drift_flip_ewma", "shard", "0");

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/stat_registry.hh"
 
@@ -257,11 +256,10 @@ TEST(LatencyRecording, SnapshotMergesAcrossJoinedThreads)
 
 TEST(LatencyRecording, LiveSnapshotsWhileWritersRecord)
 {
-    // Three writers record into a kv op histogram and a registry
-    // family while this thread reads both 50 times.
+    // Three writers record into a kv op histogram and a histogram of
+    // their own while this thread reads both 50 times.
     resetLatency();
-    MetricsRegistry reg;
-    HistogramHandle family = reg.histogram("live_ns", "Live reads");
+    LatencyHistogram own;
     std::atomic<bool> stop{false};
     std::atomic<unsigned> started{0};
     std::vector<std::thread> writers;
@@ -271,7 +269,7 @@ TEST(LatencyRecording, LiveSnapshotsWhileWritersRecord)
                  !stop.load(std::memory_order_relaxed); ++i) {
                 const std::uint64_t ns = 100 + (i * (w + 7)) % 100'000;
                 recordLatency(KvOp::Get, ns);
-                family.observe(ns);
+                own.record(ns);
                 if (i == 1)
                     started.fetch_add(1);
             }
@@ -292,27 +290,62 @@ TEST(LatencyRecording, LiveSnapshotsWhileWritersRecord)
         EXPECT_LE(double(s.minNs()), s.percentileNs(0.5));
         EXPECT_LE(s.percentileNs(0.5), double(s.maxNs()));
     };
-    std::uint64_t last_kv = 0, last_family = 0, last_scrape = 0;
+    std::uint64_t last_kv = 0, last_own = 0;
     for (int i = 0; i < 50; ++i) {
         check(latencySnapshot(KvOp::Get), last_kv);
-        check(family.snapshot(), last_family);
-        const MetricsSnapshot snap = reg.scrape();
-        const MetricSample *s = snap.find("live_ns");
-        ASSERT_NE(s, nullptr);
-        std::uint64_t total = 0;
-        for (const std::uint64_t b : s->buckets)
-            total += b;
-        EXPECT_EQ(total, s->count);
-        EXPECT_GE(s->count, last_scrape);
-        last_scrape = s->count;
+        check(own.snapshot(), last_own);
     }
     stop.store(true, std::memory_order_relaxed);
     for (std::thread &t : writers)
         t.join();
 
     EXPECT_EQ(latencySnapshot(KvOp::Get).count(),
-              family.snapshot().count());
+              own.snapshot().count());
     resetLatency();
+}
+
+TEST(ThreadCounters, SumsNeverDecreaseWhileWritersAdd)
+{
+    // Three writers add into two counters while this thread sums
+    // them 50 times: no sum may go backwards, and the final sums are
+    // every add.
+    ThreadCounters<2> counters;
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> adds{0};
+    std::vector<std::thread> writers;
+    for (unsigned w = 0; w < 3; ++w)
+        writers.emplace_back([&] {
+            std::uint64_t n = 0;
+            for (; !stop.load(std::memory_order_relaxed); ++n) {
+                counters.add(0);
+                counters.add(1, 3);
+            }
+            adds.fetch_add(n);
+        });
+
+    std::uint64_t last0 = 0, last1 = 0;
+    for (int i = 0; i < 50; ++i) {
+        const std::uint64_t s0 = counters.sum(0);
+        const std::uint64_t s1 = counters.sum(1);
+        EXPECT_GE(s0, last0);
+        EXPECT_GE(s1, last1);
+        last0 = s0;
+        last1 = s1;
+    }
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread &t : writers)
+        t.join();
+    EXPECT_EQ(counters.sum(0), adds.load());
+    EXPECT_EQ(counters.sum(1), 3 * adds.load());
+}
+
+TEST(ThreadCounters, ExitedThreadsStillCount)
+{
+    ThreadCounters<1> counters;
+    std::thread([&counters] { counters.add(0, 11); }).join();
+    std::thread([&counters] { counters.add(0, 31); }).join();
+    counters.add(0);
+    EXPECT_EQ(counters.sum(0), 43u);
 }
 
 } // namespace

@@ -92,7 +92,8 @@ roundTrip(std::uint16_t port, std::string_view request)
 TEST(MetricsHttp, ServesMetricsInExpositionFormat)
 {
     MetricsRegistry reg;
-    reg.counter("up_total", "Up").inc(3);
+    reg.addCollector(
+        [](MetricsSink &sink) { sink.counter("up_total", {}, 3, "Up"); });
     MetricsHttpServer server(reg);
     ASSERT_TRUE(server.start()) << server.lastError();
     ASSERT_NE(server.port(), 0);
@@ -134,7 +135,8 @@ TEST(MetricsHttp, HealthzAnswersOk)
 TEST(MetricsHttp, ReassemblesPartialRequests)
 {
     MetricsRegistry reg;
-    reg.gauge("g_now", "G").set(9);
+    reg.addCollector(
+        [](MetricsSink &sink) { sink.gauge("g_now", {}, 9, "G"); });
     MetricsHttpServer server(reg);
     ASSERT_TRUE(server.start()) << server.lastError();
 

@@ -82,6 +82,10 @@ TEST(Ycsb, EveryWorkloadCompletesCleanly)
                       config.opsPerClient)
             << "workload " << w;
         EXPECT_EQ(totalClassOps(r), r.runOps) << "workload " << w;
+        // Unpipelined, every op is one latency sample of its class, so
+        // the samples also sum to clients x opsPerClient.
+        for (const OpClassResult &c : r.classes)
+            EXPECT_EQ(c.latency.count(), c.ops) << "workload " << w;
         EXPECT_EQ(r.validationFailures, 0u) << "workload " << w;
         EXPECT_EQ(r.errors, 0u) << "workload " << w;
         EXPECT_GT(r.loadOps, 0u) << "workload " << w;
