@@ -298,19 +298,8 @@ AdaptiveKvCache::setPinned(KvKey key, bool pinned)
 {
     const std::uint64_t h = hashOf(key);
     const unsigned s = unsigned(h & shardMask_);
-    KvShard &shard = *shards_[s];
-    if (shard.lockFreeEnabled()) {
-        int done = -1;
-        {
-            EpochGuard guard;
-            if (guard.engaged())
-                done = shard.trySetPinned(key, h, pinned);
-        }
-        if (done >= 0)
-            return done == 1;
-    }
     std::scoped_lock lock(locks_[s]);
-    return shard.setPinned(key, h, pinned);
+    return shards_[s]->setPinned(key, h, pinned);
 }
 
 bool
@@ -330,19 +319,8 @@ AdaptiveKvCache::contains(KvKey key) const
 {
     const std::uint64_t h = hashOf(key);
     const unsigned s = unsigned(h & shardMask_);
-    const KvShard &shard = *shards_[s];
-    if (shard.lockFreeEnabled()) {
-        int resident = -1;
-        {
-            EpochGuard guard;
-            if (guard.engaged())
-                resident = shard.containsRelaxed(key, h);
-        }
-        if (resident >= 0)
-            return resident == 1;
-    }
     std::scoped_lock lock(locks_[s]);
-    return shard.contains(key, h);
+    return shards_[s]->contains(key, h);
 }
 
 std::size_t

@@ -8,17 +8,19 @@
  * within it, and the remainder is the key tag the shadow directories
  * fold — the software analog of an address's index/tag split.
  *
- * Mutating operations take exactly one shard mutex; shards share no
- * mutable state, so the cache scales with the number of shards until
- * the key distribution itself serializes (kv_throughput measures
- * this). With KvConfig::lockFreeReads (the default),
- * get/contains/pin/unpin serve their common cases without any mutex
- * at all: an epoch-guarded optimistic probe validated by per-bucket
- * seqlocks, with LRU/LFU promotion deferred into a per-entry access
- * mark the mutating operations fold (docs/KVCACHE.md "Concurrency
- * model").
- * Stats aggregate through StatRegistry so kv experiments flow
- * through the same report pipeline as the simulator benches.
+ * Every keyed operation but the get probe takes exactly one shard
+ * mutex; shards share no mutable state, so the cache scales with the
+ * number of shards until the key distribution itself serializes
+ * (kv_throughput measures this). With KvConfig::lockFreeReads (the
+ * default), get/getInto and getMany/probeMany serve their common
+ * cases without any mutex at all: an epoch-guarded optimistic probe
+ * validated by per-bucket seqlocks, with LRU/LFU promotion deferred
+ * into a per-entry access mark the locked operations fold
+ * (docs/KVCACHE.md "Concurrency model").
+ *
+ * Counters are the ADCACHE_KV_COUNTERS rows of obs/counter_table.hh,
+ * sampled under the shard locks: registerStats() reports them as v1
+ * StatRegistry rows and registerMetrics() as Prometheus samples.
  */
 
 #ifndef ADCACHE_KV_ADAPTIVE_KV_CACHE_HH

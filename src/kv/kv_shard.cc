@@ -121,8 +121,7 @@ class KvShard::ShardView
                  std::memory_order_seq_cst);
              e;
              e = e->chainNext.load(std::memory_order_seq_cst)) {
-            if (!e->isPinned() &&
-                shadow.foldTag(e->tag) == displaced_tag)
+            if (!e->pinned && shadow.foldTag(e->tag) == displaced_tag)
                 return e;
         }
         return kNone;
@@ -153,7 +152,7 @@ class KvShard::ShardView
                 i = 0;
                 continue;
             }
-            if (!e->isPinned())
+            if (!e->pinned)
                 return e;
             e = use_lru ? shard_.recency_.nextCandidate(e)
                         : shard_.lfu_.nextCandidate(e);
@@ -172,7 +171,7 @@ class KvShard::ShardView
                      std::memory_order_seq_cst);
                  c;
                  c = c->chainNext.load(std::memory_order_seq_cst)) {
-                if (!c->isPinned()) {
+                if (!c->pinned) {
                     shard_.fallbackBucket_ = (b + 1) & mask;
                     return c;
                 }
@@ -306,15 +305,6 @@ KvShard::endBucketChange(unsigned bucket)
     buckets_[bucket].seq.fetch_add(1, std::memory_order_seq_cst);
 }
 
-bool
-KvShard::killForRemoval(KvEntry *e)
-{
-    std::uint32_t expected = 0;
-    return e->pinState.compare_exchange_strong(
-        expected, KvEntry::kDyingBit, std::memory_order_seq_cst,
-        std::memory_order_seq_cst);
-}
-
 void
 KvShard::setValue(KvEntry *e, std::string &&v)
 {
@@ -386,10 +376,8 @@ KvShard::promote(KvEntry *e, unsigned lfu_steps)
 void
 KvShard::unlinkEntry(KvEntry *e)
 {
-    const std::uint32_t old = e->pinState.fetch_or(
-        KvEntry::kDyingBit, std::memory_order_seq_cst);
-    if (old & KvEntry::kPinnedBit)
-        pinned_.fetch_sub(1, std::memory_order_seq_cst);
+    if (e->pinned)
+        --pinned_;
     Bucket &b = buckets_[e->bucket];
     beginBucketChange(e->bucket);
     KvEntry *next = e->chainNext.load(std::memory_order_seq_cst);
@@ -472,11 +460,9 @@ KvShard::reference(KvKey key, std::uint64_t h,
             out.updated = true;
             ++stats_.updates;
         }
-        if (pin) {
-            const std::uint32_t old = e->pinState.fetch_or(
-                KvEntry::kPinnedBit, std::memory_order_seq_cst);
-            if (!(old & KvEntry::kPinnedBit))
-                pinned_.fetch_add(1, std::memory_order_seq_cst);
+        if (pin && !e->pinned) {
+            e->pinned = true;
+            ++pinned_;
         }
         if (value_out)
             value_out->append(*e->value.load(std::memory_order_seq_cst));
@@ -492,37 +478,17 @@ KvShard::reference(KvKey key, std::uint64_t h,
         ++stats_.decisions[winner];
 
         ShardView view(*this, bucket, winner);
-        adapt::VictimCase evict_case = adapt::VictimCase::VictimMatch;
-        KvEntry *victim = nullptr;
-        bool admit_rejected = false;
-        for (;;) {
-            const auto choice = adapt::imitateVictim(
-                view, leader && shadow_out[winner].evicted,
-                shadow_out[winner].evictedTag);
-            evict_case = choice.kind;
-            victim = choice.handle;
-            if (!victim)
-                break;
-            // The filter is queried on the real (candidate, victim)
-            // pair — there is no per-reference shadow verdict to
-            // imitate for follower buckets or fixed selectors.
-            // Checked before the removal claim so a refused
-            // candidate never marks a victim dying.
-            if (admission_ &&
-                config_.components[winner].admission &&
-                !admission_->admit(admitKey(tag),
-                                   admitKey(victim->tag))) {
-                admit_rejected = true;
-                break;
-            }
-            // Claim the victim against concurrent lock-free
-            // pinners; on a lost race it is pinned now and the
-            // re-run search skips it.
-            if (!lockFreeEnabled() || killForRemoval(victim))
-                break;
-        }
+        const auto choice = adapt::imitateVictim(
+            view, leader && shadow_out[winner].evicted,
+            shadow_out[winner].evictedTag);
+        KvEntry *victim = choice.handle;
 
-        if (admit_rejected) {
+        // The filter is queried on the real (candidate, victim) pair
+        // — there is no per-reference shadow verdict to imitate for
+        // follower buckets or fixed selectors.
+        if (victim && admission_ &&
+            config_.components[winner].admission &&
+            !admission_->admit(admitKey(tag), admitKey(victim->tag))) {
             out.admitRejected = true;
             ++stats_.admitRejects;
             if (obs::traceEnabled())
@@ -547,7 +513,7 @@ KvShard::reference(KvKey key, std::uint64_t h,
             return out;
         }
 
-        switch (evict_case) {
+        switch (choice.kind) {
           case adapt::VictimCase::VictimMatch:
             out.directed = true;
             ++stats_.directedEvictions;
@@ -566,7 +532,7 @@ KvShard::reference(KvKey key, std::uint64_t h,
         if (obs::traceEnabled())
             obs::emit(obs::kvEvictionEvent(
                 stats_.references, config_.shardIndex, winner,
-                toEvictCase(evict_case), victim->key));
+                toEvictCase(choice.kind), victim->key));
         unlinkEntry(victim);
     }
 
@@ -574,14 +540,13 @@ KvShard::reference(KvKey key, std::uint64_t h,
     e->key = key;
     e->tag = tag;
     e->bucket = bucket;
-    e->pinState.store(pin ? KvEntry::kPinnedBit : 0u,
-                      std::memory_order_relaxed);
+    e->pinned = pin;
     e->expiry.store(ttl ? nowTick() + ttl : 0,
                     std::memory_order_relaxed);
     e->value.store(new std::string(make_value()),
                    std::memory_order_relaxed);
     if (pin)
-        pinned_.fetch_add(1, std::memory_order_seq_cst);
+        ++pinned_;
     Bucket &b = buckets_[bucket];
     KvEntry *head = b.chain.load(std::memory_order_seq_cst);
     e->chainNext.store(head, std::memory_order_relaxed);
@@ -703,81 +668,6 @@ KvShard::validatedMiss(unsigned retries, unsigned *retries_out)
     return ProbeResult::Miss;
 }
 
-int
-KvShard::containsRelaxed(KvKey key, std::uint64_t h) const
-{
-    constexpr unsigned kMaxOptimism = 4;
-    const unsigned bucket = bucketOf(h);
-    const Bucket &b = buckets_[bucket];
-    for (unsigned attempt = 0; attempt < kMaxOptimism; ++attempt) {
-        const std::uint32_t s1 =
-            b.seq.load(std::memory_order_seq_cst);
-        if (s1 & 1)
-            continue;
-        for (const KvEntry *e =
-                 b.chain.load(std::memory_order_seq_cst);
-             e; e = e->chainNext.load(std::memory_order_seq_cst))
-            if (e->key == key)
-                return isExpired(e) ? 0 : 1;
-        if (b.seq.load(std::memory_order_seq_cst) == s1)
-            return 0;
-    }
-    return -1;
-}
-
-int
-KvShard::trySetPinned(KvKey key, std::uint64_t h, bool pinned)
-{
-    constexpr unsigned kMaxOptimism = 4;
-    const unsigned bucket = bucketOf(h);
-    const Bucket &b = buckets_[bucket];
-    for (unsigned attempt = 0; attempt < kMaxOptimism; ++attempt) {
-        const std::uint32_t s1 =
-            b.seq.load(std::memory_order_seq_cst);
-        if (s1 & 1)
-            continue;
-        KvEntry *found = nullptr;
-        for (KvEntry *e =
-                 b.chain.load(std::memory_order_seq_cst);
-             e; e = e->chainNext.load(std::memory_order_seq_cst)) {
-            if (e->key == key) {
-                found = e;
-                break;
-            }
-        }
-        if (!found) {
-            if (b.seq.load(std::memory_order_seq_cst) == s1)
-                return 0;
-            continue;
-        }
-        if (isExpired(found))
-            return 0; // logically absent; purged on locked contact
-        std::uint32_t old =
-            found->pinState.load(std::memory_order_seq_cst);
-        for (;;) {
-            if (old & KvEntry::kDyingBit)
-                return 0; // mid-eviction: linearize after removal
-            const std::uint32_t want =
-                pinned ? (old | KvEntry::kPinnedBit)
-                       : (old & ~KvEntry::kPinnedBit);
-            if (want == old)
-                return 1;
-            if (found->pinState.compare_exchange_weak(
-                    old, want, std::memory_order_seq_cst,
-                    std::memory_order_seq_cst)) {
-                if (pinned)
-                    pinned_.fetch_add(1,
-                                      std::memory_order_seq_cst);
-                else
-                    pinned_.fetch_sub(1,
-                                      std::memory_order_seq_cst);
-                return 1;
-            }
-        }
-    }
-    return -1;
-}
-
 bool
 KvShard::erase(KvKey key, std::uint64_t h)
 {
@@ -807,17 +697,12 @@ KvShard::setPinned(KvKey key, std::uint64_t h, bool pinned)
         unlinkEntry(e);
         return false;
     }
-    const std::uint32_t old =
-        pinned ? e->pinState.fetch_or(KvEntry::kPinnedBit,
-                                      std::memory_order_seq_cst)
-               : e->pinState.fetch_and(~KvEntry::kPinnedBit,
-                                       std::memory_order_seq_cst);
-    const bool was = (old & KvEntry::kPinnedBit) != 0;
-    if (was != pinned) {
+    if (e->pinned != pinned) {
+        e->pinned = pinned;
         if (pinned)
-            pinned_.fetch_add(1, std::memory_order_seq_cst);
+            ++pinned_;
         else
-            pinned_.fetch_sub(1, std::memory_order_seq_cst);
+            --pinned_;
     }
     return true;
 }

@@ -27,10 +27,9 @@
  * lockstepped against this class op by op (docs/KVCACHE.md
  * "Verification").
  *
- * Mutating operations are externally synchronized (AdaptiveKvCache
- * wraps each shard in its own mutex). With lockFreeReads, the
- * read-only surface — tryProbe / containsRelaxed / trySetPinned —
- * may additionally run WITHOUT the mutex from any thread holding an
+ * Every operation is externally synchronized (AdaptiveKvCache wraps
+ * each shard in its own mutex) except one: with lockFreeReads,
+ * tryProbe may run WITHOUT the mutex from any thread holding an
  * EpochGuard; see docs/KVCACHE.md "Concurrency model" for the
  * protocol (per-bucket seqlock validation, access marks,
  * epoch-based reclamation).
@@ -185,22 +184,7 @@ class KvShard
                          const std::string **value_out,
                          unsigned *retries_out);
 
-    /**
-     * Lock-free membership attempt under an engaged EpochGuard:
-     * 1 = resident, 0 = validated absent, -1 = conflict (retry
-     * under the mutex via contains()).
-     */
-    int containsRelaxed(KvKey key, std::uint64_t h) const;
-
-    /**
-     * Lock-free pin/unpin attempt under an engaged EpochGuard:
-     * 1 = done, 0 = validated absent (or the entry is mid-eviction,
-     * which linearizes after its removal), -1 = conflict (retry
-     * under the mutex via setPinned()).
-     */
-    int trySetPinned(KvKey key, std::uint64_t h, bool pinned);
-
-    /** True iff the mutex-free read surface is active. */
+    /** True iff tryProbe may run without the mutex. */
     bool lockFreeEnabled() const { return config_.lockFreeReads; }
 
     /** Remove @p key. @return true iff it was resident. */
@@ -214,11 +198,7 @@ class KvShard
 
     std::size_t size() const { return size_; }
     std::uint64_t capacity() const { return config_.capacity; }
-    std::uint64_t
-    pinnedCount() const
-    {
-        return pinned_.load(std::memory_order_seq_cst);
-    }
+    std::uint64_t pinnedCount() const { return pinned_; }
 
     /** Counter snapshot: the mutex-owned counters, the atomics the
      *  lock-free read path maintains, and the shard's adaptation
@@ -300,10 +280,6 @@ class KvShard
     void beginBucketChange(unsigned bucket);
     void endBucketChange(unsigned bucket);
 
-    /** Claim @p e for removal: CAS its pin word 0 -> dying. Fails
-     *  iff a concurrent (or prior) pin got there first. */
-    bool killForRemoval(KvEntry *e);
-
     /** Swap in a freshly built value, retiring the old string. */
     void setValue(KvEntry *e, std::string &&v);
 
@@ -324,7 +300,7 @@ class KvShard
     adapt::Selector selector_; //!< one domain: the shard
     unsigned fallbackBucket_ = 0; //!< case-3 rotating cursor
     std::size_t size_ = 0;
-    std::atomic<std::uint64_t> pinned_{0};
+    std::uint64_t pinned_ = 0;
     KvShardStats stats_; //!< mutex-owned counters only
 
     // Lock-free read-path state (lockFreeReads).

@@ -110,12 +110,12 @@ struct KvConfig
     KeyHashKind keyHash = KeyHashKind::Mix;
 
     /**
-     * Serve get()/contains()/pin() hits without the shard mutex. A
-     * lock-free get hit sets the entry's access mark instead of
-     * promoting it, so LRU becomes second chance (CLOCK) and LFU
-     * counts at most one such hit per fold; false promotes every
-     * read exactly, under the mutex. See docs/KVCACHE.md
-     * "Concurrency model".
+     * Serve get() and getMany() probes without the shard mutex;
+     * every other operation locks its shard either way. A lock-free
+     * get hit sets the entry's access mark instead of promoting it,
+     * so LRU becomes second chance (CLOCK) and LFU counts at most
+     * one such hit per fold; false promotes every read exactly,
+     * under the mutex. See docs/KVCACHE.md "Concurrency model".
      */
     bool lockFreeReads = true;
 

@@ -18,10 +18,11 @@
  * (Sec. 4.7 follower semantics).
  *
  * Concurrency split (docs/KVCACHE.md "Concurrency model"): the
- * fields lock-free readers may touch are atomic — the forward chain
- * link, the value pointer, the pin word and the access mark.
- * key/tag/bucket are immutable once the entry is published into its
- * bucket chain, and every other link is owned by the shard mutex.
+ * fields the lock-free get probe may touch are atomic — the forward
+ * chain link, the value pointer, the expiry stamp and the access
+ * mark. key/tag/bucket are immutable once the entry is published
+ * into its bucket chain, and every other field, the pin flag
+ * included, is owned by the shard mutex.
  */
 
 #ifndef ADCACHE_KV_POLICY_LISTS_HH
@@ -41,17 +42,12 @@ struct FreqNode;
 /** One resident key-value entry (intrusively linked everywhere). */
 struct KvEntry
 {
-    /** pinState layout: bit 31 = dying (claimed for removal), bit 0
-     *  = pinned. Pinning is a flag, not a refcount — pin() of an
-     *  already-pinned entry is a no-op, matching the locked
-     *  semantics this replaces. */
-    static constexpr std::uint32_t kPinnedBit = 1u;
-    static constexpr std::uint32_t kDyingBit = 0x8000'0000u;
-
     KvKey key = 0;
     std::uint64_t tag = 0; //!< key tag (hash above shard+bucket bits)
     std::uint32_t bucket = 0;
-    std::atomic<std::uint32_t> pinState{0};
+    /** Exempt from eviction (shard mutex). A flag, not a refcount:
+     *  pin() of a pinned entry is a no-op. */
+    bool pinned = false;
 
     /** The stored value, published as an immutable heap string so a
      *  lock-free reader can copy it without tearing; overwrites swap
@@ -67,13 +63,6 @@ struct KvEntry
     std::atomic<std::uint64_t> expiry{0};
 
     ~KvEntry() { delete value.load(std::memory_order_relaxed); }
-
-    bool
-    isPinned() const
-    {
-        return (pinState.load(std::memory_order_seq_cst) &
-                kPinnedBit) != 0;
-    }
 
     /**
      * CLOCK-style reference bit: 1 = a lock-free hit since the last

@@ -187,8 +187,10 @@ KvServer::stop()
     if (!running_.exchange(false, std::memory_order_seq_cst))
         return;
     stopping_.store(true, std::memory_order_seq_cst);
-    // Wake everyone: the acceptor polls the listen fd with a
-    // timeout, the workers block in poll on their wake pipes.
+    // Wake everyone: shutting the listen socket down makes the
+    // acceptor's poll return, and the workers block in poll on their
+    // wake pipes.
+    ::shutdown(listenFd_, SHUT_RDWR);
     for (auto &w : workers_) {
         const char byte = 1;
         for (;;) {
@@ -221,13 +223,13 @@ KvServer::acceptLoop()
         pollfd pfd{};
         pfd.fd = listenFd_;
         pfd.events = POLLIN;
-        const int n = ::poll(&pfd, 1, 100);
+        const int n = ::poll(&pfd, 1, -1);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
             break;
         }
-        if (n == 0 || !(pfd.revents & POLLIN))
+        if (!(pfd.revents & POLLIN))
             continue;
         for (;;) {
             const int fd = ::accept(listenFd_, nullptr, nullptr);

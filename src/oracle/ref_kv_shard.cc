@@ -350,10 +350,10 @@ RefKvShard::erase(kv::KvKey key)
 bool
 RefKvShard::setPinned(kv::KvKey key, bool pinned)
 {
-    if (!config_.lockFreeReads)
-        purgeExpired(key);
+    if (purgeExpired(key))
+        return false;
     const auto it = entries_.find(key);
-    if (it == entries_.end() || expired(it->second))
+    if (it == entries_.end())
         return false;
     it->second.pinned = pinned;
     return true;

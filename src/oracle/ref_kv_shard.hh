@@ -44,8 +44,10 @@
  * two documented places. With lock-free reads, a get hit (alone or in
  * an MGet) only marks the entry, and a locked hit (a filling
  * reference) folds the mark: one LRU move and 1 + mark LFU steps.
- * And a get, contains or pin of an expired entry leaves it resident
- * until the next locked contact. An MGet is its keys' gets in order.
+ * And a get of an expired entry leaves it resident until the next
+ * locked contact. In both modes, pin and unpin purge an expired
+ * entry and contains leaves it resident. An MGet is its keys' gets
+ * in order.
  */
 
 #ifndef ADCACHE_ORACLE_REF_KV_SHARD_HH

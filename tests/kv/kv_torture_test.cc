@@ -276,9 +276,8 @@ TEST(KvTortureTest, ReadersVsThrashingWriterKeepValueIdentity)
 
 TEST(KvTortureTest, PinnedKeysAlwaysHitUnderThrash)
 {
-    // Pins are atomic on the lock-free path; a pinned key must
-    // survive any eviction storm and every concurrent read of it
-    // must hit with the right value.
+    // A pinned key must survive any eviction storm, and every
+    // lock-free read of it must hit with the right value.
     AdaptiveKvCache cache(tortureConfig(4, 256));
     const std::vector<KvKey> pinned = {3, 1'000'003, 2'000'003,
                                        3'000'003};
@@ -315,9 +314,9 @@ TEST(KvTortureTest, PinnedKeysAlwaysHitUnderThrash)
 TEST(KvTortureTest, PinUnpinRacesKeepAccounting)
 {
     // Threads race pin/unpin cycles on a small key set against an
-    // eviction storm: the atomic pin word must linearize every
-    // transition (no pinned-count drift, no dying entry resurrected
-    // by a pin).
+    // eviction storm and lock-free gets: the pinned count must not
+    // drift from the pinned entries, and no pin may outlive its
+    // entry's eviction.
     AdaptiveKvCache cache(tortureConfig(2, 128));
     const unsigned threads = 4;
     runIndexed(threads, threads, [&](std::size_t t) {
@@ -358,8 +357,9 @@ TEST(KvTortureTest, PinUnpinRacesKeepAccounting)
 
 TEST(KvTortureTest, ContainsRacesNeverMisreportValueIdentity)
 {
-    // contains() rides the same seqlock-validated walk; interleave
-    // it with gets and writes to cross-check the two read surfaces.
+    // contains() locks the shard while get() probes without it;
+    // interleave the two with writes to cross-check the locked and
+    // lock-free read surfaces.
     AdaptiveKvCache cache(tortureConfig(2, 256));
     std::atomic<std::uint64_t> mismatches{0};
     runIndexed(3, 3, [&](std::size_t t) {

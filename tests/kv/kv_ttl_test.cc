@@ -107,6 +107,25 @@ TEST_P(KvTtlTest, EraseOfExpiredEntryReportsAbsent)
     EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST_P(KvTtlTest, PinOfExpiredEntryPurgesIt)
+{
+    // pin and unpin lock the shard in both read modes, so, like
+    // erase, they purge a lapsed entry and account one expiration.
+    AdaptiveKvCache cache(smallConfig(GetParam()));
+    cache.put(1, "v", false, 1);
+    cache.put(2, "kept");
+    cache.clockAdvance(1);
+    ASSERT_EQ(cache.size(), 2u);
+
+    EXPECT_FALSE(cache.pin(1));
+    EXPECT_FALSE(cache.unpin(1));
+    EXPECT_FALSE(cache.contains(1));
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(totalStats(cache).expirations, 1u);
+    EXPECT_EQ(totalStats(cache).pinned, 0u);
+    EXPECT_TRUE(cache.contains(2));
+}
+
 TEST_P(KvTtlTest, FetchReloadsAnExpiredEntry)
 {
     AdaptiveKvCache cache(smallConfig(GetParam()));

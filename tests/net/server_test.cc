@@ -5,8 +5,8 @@
  * shared service, byte-at-a-time partial sends over a raw socket,
  * per-connection error isolation (garbage framing kills only the
  * offending connection), and graceful shutdown (stop() while clients
- * are connected, or while a peer never reads; idempotent stop;
- * restartability of a fresh server).
+ * are connected, or while a peer never reads; idempotent stop; a
+ * prompt stop of an idle server; restartability of a fresh server).
  * These run under the `server` ctest label and must pass under asan.
  */
 
@@ -332,6 +332,29 @@ TEST_F(ServerTest, GracefulShutdownWithLiveClients)
     EXPECT_TRUE(again.connect("127.0.0.1", server2.port()));
     EXPECT_TRUE(again.ping());
     server2.stop();
+}
+
+TEST_F(ServerTest, IdleStopIsPrompt)
+{
+    // stop() wakes the acceptor, so a cycle takes about a
+    // millisecond; an acceptor that saw stop() only when a 100 ms
+    // poll timed out would need about 1 s for the ten. Each cycle
+    // serves one ping first, so the acceptor is back in its poll
+    // when stop() comes.
+    KvService service(smallService());
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < 10; ++i) {
+        KvServer server(service, KvServerConfig{});
+        ASSERT_TRUE(server.start()) << server.lastError();
+        KvClient client;
+        ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+        ASSERT_TRUE(client.ping());
+        client.close();
+        server.stop();
+        EXPECT_FALSE(server.running());
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(300));
 }
 
 TEST_F(ServerTest, PipelinedSendManyMatchesSerialCalls)
