@@ -174,13 +174,11 @@ class TagArray
     }
 
     /*
-     * SWAR zero-lane detection. For x = lanes ^ splat(probe), the
-     * classic (x - kOnes) & ~x & kHigh expression can flag a nonzero
-     * lane only when a borrow propagates into it from a genuinely
-     * zero lane below, so the *lowest* flagged lane is always a true
-     * match. Invalid (and absent, when assoc < lanes) lanes hold the
-     * all-ones lane value, which no probe narrower than the lane can
-     * equal, so they never produce a genuine zero.
+     * SWAR zero-lane detection (matchLanes16 in util/bits.hh, and its
+     * 8-bit twin inline here): the *lowest* flagged lane is always a
+     * true match. Invalid (and absent, when assoc < lanes) lanes hold
+     * the all-ones lane value, which no probe narrower than the lane
+     * can equal, so they never produce a genuine zero.
      */
     unsigned
     lookupPacked8(unsigned set, Addr tag) const
@@ -199,16 +197,11 @@ class TagArray
     {
         if (tag >> tagBits_)
             return kNoWay;
-        constexpr std::uint64_t ones = 0x0001000100010001ULL;
-        constexpr std::uint64_t high = 0x8000800080008000ULL;
-        const std::uint64_t probe = std::uint64_t(tag) * ones;
         const std::uint64_t *lane = &lanes_[std::size_t(set) * 2];
-        std::uint64_t x = lane[0] ^ probe;
-        std::uint64_t m = (x - ones) & ~x & high;
+        std::uint64_t m = matchLanes16(lane[0], tag);
         if (m)
             return unsigned(std::countr_zero(m)) >> 4;
-        x = lane[1] ^ probe;
-        m = (x - ones) & ~x & high;
+        m = matchLanes16(lane[1], tag);
         if (m)
             return 4 + (unsigned(std::countr_zero(m)) >> 4);
         return kNoWay;
@@ -228,22 +221,18 @@ class TagArray
     unsigned
     lookupFp(unsigned set, Addr tag) const
     {
-        constexpr std::uint64_t ones = 0x0001000100010001ULL;
-        constexpr std::uint64_t high = 0x8000800080008000ULL;
-        const std::uint64_t probe = (std::uint64_t(tag) & 0xFFFF) * ones;
+        const std::uint64_t fp = std::uint64_t(tag) & 0xFFFF;
         const std::uint64_t *lane = &fp_[std::size_t(set) * 2];
         const Addr *t = &tags_[std::size_t(set) * assoc_];
         const std::uint64_t valid = valid_[set];
-        std::uint64_t x = lane[0] ^ probe;
-        std::uint64_t m = (x - ones) & ~x & high;
+        std::uint64_t m = matchLanes16(lane[0], fp);
         while (m) {
             const unsigned w = unsigned(std::countr_zero(m)) >> 4;
             if (((valid >> w) & 1) && t[w] == tag)
                 return w;
             m &= m - 1;
         }
-        x = lane[1] ^ probe;
-        m = (x - ones) & ~x & high;
+        m = matchLanes16(lane[1], fp);
         while (m) {
             const unsigned w = 4 + (unsigned(std::countr_zero(m)) >> 4);
             if (((valid >> w) & 1) && t[w] == tag)

@@ -1,6 +1,7 @@
 #include "kv/kv_shard.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/shadow_cache.hh"
 #include "obs/trace.hh"
@@ -264,14 +265,43 @@ KvShard::isLeader(unsigned bucket) const
 }
 
 KvEntry *
-KvShard::find(unsigned bucket, KvKey key) const
+KvShard::lookup(const Bucket &b, KvKey key, std::uint64_t tag)
 {
-    for (KvEntry *e =
-             buckets_[bucket].chain.load(std::memory_order_seq_cst);
-         e; e = e->chainNext.load(std::memory_order_seq_cst))
+    // Load order: used, then the fingerprints, then a candidate. A
+    // slot is filled before its used bit is set and its bit cleared
+    // before it is emptied, so a reader that sees the bit sees the
+    // slot's fingerprint and entry, or a null or a newer entry. Hits
+    // compare the full key; fingerprint aliases and borrow artifacts
+    // just cost a dereference.
+    const unsigned used = b.used.load(std::memory_order_seq_cst);
+    const std::uint64_t fp = tag & 0xFFFF;
+    for (unsigned w = 0; w < kBucketSlots / 4; ++w) {
+        if (((used >> (4 * w)) & 0xF) == 0)
+            continue;
+        std::uint64_t m = matchLanes16(
+            b.fingerprints[w].load(std::memory_order_seq_cst), fp);
+        for (; m; m &= m - 1) {
+            const unsigned i = 4 * w + (unsigned(std::countr_zero(m)) >> 4);
+            if (!((used >> i) & 1))
+                continue;
+            KvEntry *e = b.slots[i].load(std::memory_order_seq_cst);
+            if (e && e->key == key)
+                return e;
+        }
+    }
+    if (b.overflow.load(std::memory_order_seq_cst) == 0)
+        return nullptr;
+    for (KvEntry *e = b.chain.load(std::memory_order_seq_cst); e;
+         e = e->chainNext.load(std::memory_order_seq_cst))
         if (e->key == key)
             return e;
     return nullptr;
+}
+
+KvEntry *
+KvShard::find(std::uint64_t h, KvKey key) const
+{
+    return lookup(buckets_[bucketOf(h)], key, tagOf(h));
 }
 
 std::uint64_t
@@ -374,6 +404,38 @@ KvShard::promote(KvEntry *e, unsigned lfu_steps)
 }
 
 void
+KvShard::linkEntry(KvEntry *e)
+{
+    Bucket &b = buckets_[e->bucket];
+    KvEntry *head = b.chain.load(std::memory_order_seq_cst);
+    e->chainNext.store(head, std::memory_order_relaxed);
+    beginBucketChange(e->bucket);
+    if (head)
+        head->chainPrev = e;
+    // Publication point: every field of e is initialized before the
+    // head store makes the entry reachable.
+    b.chain.store(e, std::memory_order_seq_cst);
+    const unsigned used = b.used.load(std::memory_order_seq_cst);
+    const unsigned i = unsigned(std::countr_one(used));
+    if (i < kBucketSlots) {
+        e->slot = std::uint8_t(i);
+        b.slots[i].store(e, std::memory_order_seq_cst);
+        std::atomic<std::uint64_t> &word = b.fingerprints[i / 4];
+        const unsigned shift = (i % 4) * 16;
+        word.store((word.load(std::memory_order_seq_cst) &
+                    ~(std::uint64_t{0xFFFF} << shift)) |
+                       ((e->tag & 0xFFFF) << shift),
+                   std::memory_order_seq_cst);
+        b.used.store(std::uint16_t(used | (1u << i)),
+                     std::memory_order_seq_cst);
+    } else {
+        b.overflow.store(b.overflow.load(std::memory_order_seq_cst) + 1,
+                         std::memory_order_seq_cst);
+    }
+    endBucketChange(e->bucket);
+}
+
+void
 KvShard::unlinkEntry(KvEntry *e)
 {
     if (e->pinned)
@@ -388,6 +450,15 @@ KvShard::unlinkEntry(KvEntry *e)
         b.chain.store(next, std::memory_order_seq_cst);
     if (next)
         next->chainPrev = e->chainPrev;
+    if (e->slot == KvEntry::kNoSlot) {
+        b.overflow.store(b.overflow.load(std::memory_order_seq_cst) - 1,
+                         std::memory_order_seq_cst);
+    } else {
+        b.used.store(std::uint16_t(b.used.load(std::memory_order_seq_cst) &
+                                   ~(1u << e->slot)),
+                     std::memory_order_seq_cst);
+        b.slots[e->slot].store(nullptr, std::memory_order_seq_cst);
+    }
     endBucketChange(e->bucket);
     recency_.remove(e);
     lfu_.remove(e);
@@ -439,7 +510,7 @@ KvShard::reference(KvKey key, std::uint64_t h,
         }
     }
 
-    KvEntry *resident = find(bucket, key);
+    KvEntry *resident = find(h, key);
     if (resident && isExpired(resident)) {
         // Lazy TTL: the stale twin is logically absent, so purge it
         // and run the rest of the reference as a miss (the fresh
@@ -547,16 +618,7 @@ KvShard::reference(KvKey key, std::uint64_t h,
                    std::memory_order_relaxed);
     if (pin)
         ++pinned_;
-    Bucket &b = buckets_[bucket];
-    KvEntry *head = b.chain.load(std::memory_order_seq_cst);
-    e->chainNext.store(head, std::memory_order_relaxed);
-    beginBucketChange(bucket);
-    if (head)
-        head->chainPrev = e;
-    // Publication point: every field above is initialized before the
-    // head store makes the entry reachable.
-    b.chain.store(e, std::memory_order_seq_cst);
-    endBucketChange(bucket);
+    linkEntry(e);
     recency_.pushFront(e);
     lfu_.onInsert(e);
     ++size_;
@@ -581,7 +643,7 @@ KvShard::probe(KvKey key, std::uint64_t h, unsigned retries)
                 config_.shardIndex, retries, key));
     }
     gets_.fetch_add(1, std::memory_order_relaxed);
-    KvEntry *e = find(bucketOf(h), key);
+    KvEntry *e = find(h, key);
     if (!e)
         return nullptr;
     if (isExpired(e)) {
@@ -599,8 +661,8 @@ KvShard::tryProbe(KvKey key, std::uint64_t h,
                   const std::string **value_out, unsigned *retries_out)
 {
     constexpr unsigned kMaxOptimism = 4;
-    const unsigned bucket = bucketOf(h);
-    const Bucket &b = buckets_[bucket];
+    const Bucket &b = buckets_[bucketOf(h)];
+    const std::uint64_t tag = tagOf(h);
     unsigned retries = 0;
     while (retries < kMaxOptimism) {
         const std::uint32_t s1 =
@@ -611,18 +673,10 @@ KvShard::tryProbe(KvKey key, std::uint64_t h,
             ++retries;
             continue;
         }
-        KvEntry *found = nullptr;
-        for (KvEntry *e =
-                 b.chain.load(std::memory_order_seq_cst);
-             e; e = e->chainNext.load(std::memory_order_seq_cst)) {
-            if (e->key == key) {
-                found = e;
-                break;
-            }
-        }
+        KvEntry *found = lookup(b, key, tag);
         if (!found) {
             if (b.seq.load(std::memory_order_seq_cst) != s1) {
-                // The chain changed under the walk; a concurrent
+                // The bucket changed under the probe; a concurrent
                 // insert of this very key may have been skipped.
                 ++retries;
                 continue;
@@ -637,12 +691,13 @@ KvShard::tryProbe(KvKey key, std::uint64_t h,
         if (isExpired(found))
             return validatedMiss(retries, retries_out);
         // Hits need no seqlock validation: key/tag are immutable
-        // once published, the value is an immutable heap string
-        // swapped by pointer, and the epoch guard keeps both the
-        // entry and the string alive — so whatever pointer this
-        // load returns was the published value of `key` at some
-        // point during the probe (the identity/ABA torture tests
-        // pin down exactly this claim).
+        // once published, the entry was linked (or its unlink not
+        // yet finished) when its slot or chain link was loaded, the
+        // value is an immutable heap string swapped by pointer, and
+        // the epoch guard keeps both the entry and the string alive
+        // — so whatever pointer this load returns was the published
+        // value of `key` at some point during the probe (the
+        // identity/ABA torture tests pin down exactly this claim).
         *value_out = found->value.load(std::memory_order_seq_cst);
         *retries_out = retries;
         gets_.fetch_add(1, std::memory_order_relaxed);
@@ -671,7 +726,7 @@ KvShard::validatedMiss(unsigned retries, unsigned *retries_out)
 bool
 KvShard::erase(KvKey key, std::uint64_t h)
 {
-    KvEntry *e = find(bucketOf(h), key);
+    KvEntry *e = find(h, key);
     if (!e)
         return false;
     if (isExpired(e)) {
@@ -689,7 +744,7 @@ KvShard::erase(KvKey key, std::uint64_t h)
 bool
 KvShard::setPinned(KvKey key, std::uint64_t h, bool pinned)
 {
-    KvEntry *e = find(bucketOf(h), key);
+    KvEntry *e = find(h, key);
     if (!e)
         return false;
     if (isExpired(e)) {
@@ -710,7 +765,7 @@ KvShard::setPinned(KvKey key, std::uint64_t h, bool pinned)
 bool
 KvShard::contains(KvKey key, std::uint64_t h) const
 {
-    const KvEntry *e = find(bucketOf(h), key);
+    const KvEntry *e = find(h, key);
     return e != nullptr && !isExpired(e);
 }
 

@@ -226,15 +226,40 @@ class KvShard
     const KvShardConfig &config() const { return config_; }
 
   private:
+    /** Slots of a bucket's fingerprint index: twice the largest
+     *  bucketWays in use, so few buckets overflow. A constant, not a
+     *  knob. */
+    static constexpr unsigned kBucketSlots = 16;
+
+    /**
+     * One hash bucket: a newest-first entry chain plus a fingerprint
+     * index over up to kBucketSlots of its entries. The first line
+     * holds everything a probe reads before its candidate: the chain
+     * head, the seqlock, the count of entries that found no free slot,
+     * the used-slot mask and each slot's 16-bit tag fingerprint, four
+     * lanes to a word. The next two lines hold the slots' entries.
+     * Writers change the index inside the same seqlock bracket as the
+     * chain.
+     */
     struct alignas(64) Bucket
     {
-        /** Hash chain head (readers traverse it). */
+        /** Hash chain head: every entry, newest first. */
         std::atomic<KvEntry *> chain{nullptr};
         /** Per-bucket seqlock: odd while a writer restructures the
-         *  chain. Readers use it to validate misses and bound their
+         *  bucket. Readers use it to validate misses and bound their
          *  optimism; hits never need it (see tryProbe). */
         std::atomic<std::uint32_t> seq{0};
+        /** Entries reachable only through the chain; a probe walks
+         *  the chain only while this is nonzero. */
+        std::atomic<std::uint32_t> overflow{0};
+        /** Bit i: slot i holds an entry. */
+        std::atomic<std::uint16_t> used{0};
+        /** Slot i's fingerprint: lane i % 4 of word i / 4. */
+        std::atomic<std::uint64_t> fingerprints[kBucketSlots / 4];
+        alignas(64) std::atomic<KvEntry *> slots[kBucketSlots];
     };
+    static_assert(sizeof(Bucket) == 3 * 64,
+                  "a probe's loads before its candidate share one line");
 
     /** One unit of deferred reclamation (see EpochDomain). */
     struct Retired
@@ -250,6 +275,11 @@ class KvShard
     unsigned bucketOf(std::uint64_t h) const;
     std::uint64_t tagOf(std::uint64_t h) const;
 
+    /** @p key's entry in @p b, or nullptr: the fingerprint candidates
+     *  of @p tag, then the chain if some entry has no slot. Safe
+     *  without the mutex; a null answer then needs the seqlock. */
+    static KvEntry *lookup(const Bucket &b, KvKey key, std::uint64_t tag);
+
     /** Account tryProbe's validated miss after @p retries re-walks. */
     ProbeResult validatedMiss(unsigned retries, unsigned *retries_out);
 
@@ -258,8 +288,8 @@ class KvShard
      *  no directories exist (fixed selectors). */
     std::uint64_t admitKey(std::uint64_t tag) const;
 
-    /** @p key's entry in @p bucket's chain, or nullptr. */
-    KvEntry *find(unsigned bucket, KvKey key) const;
+    /** @p key's entry in its bucket (hash @p h), or nullptr. */
+    KvEntry *find(std::uint64_t h, KvKey key) const;
 
     /** Current TTL clock reading (0 when no clock is wired). */
     std::uint64_t nowTick() const;
@@ -268,6 +298,10 @@ class KvShard
      *  stamp so a true verdict proves the entry was expired at the
      *  instant of the stamp load (the clock is monotonic). */
     bool isExpired(const KvEntry *e) const;
+
+    /** Publish @p e at the head of its bucket's chain and in the
+     *  lowest free index slot, if any. */
+    void linkEntry(KvEntry *e);
 
     void unlinkEntry(KvEntry *e);
 

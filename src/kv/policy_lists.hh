@@ -21,8 +21,8 @@
  * fields the lock-free get probe may touch are atomic — the forward
  * chain link, the value pointer, the expiry stamp and the access
  * mark. key/tag/bucket are immutable once the entry is published
- * into its bucket chain, and every other field, the pin flag
- * included, is owned by the shard mutex.
+ * into its bucket chain, and every other field, the pin flag and the
+ * index slot included, is owned by the shard mutex.
  */
 
 #ifndef ADCACHE_KV_POLICY_LISTS_HH
@@ -48,6 +48,10 @@ struct KvEntry
     /** Exempt from eviction (shard mutex). A flag, not a refcount:
      *  pin() of a pinned entry is a no-op. */
     bool pinned = false;
+    /** Bucket index slot holding the entry (shard mutex); kNoSlot:
+     *  reachable only through the chain. */
+    static constexpr std::uint8_t kNoSlot = 0xFF;
+    std::uint8_t slot = kNoSlot;
 
     /** The stored value, published as an immutable heap string so a
      *  lock-free reader can copy it without tearing; overwrites swap

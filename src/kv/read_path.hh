@@ -29,7 +29,8 @@
  * in exchange the correctness argument is a single total order (the
  * unlink store precedes the epoch load that tags the retirement,
  * which precedes the epoch CAS any later-pinned reader observed —
- * so that reader's chain walk reads the post-unlink pointers), and
+ * so that reader's probe reads the post-unlink slot and chain
+ * pointers), and
  * ThreadSanitizer models it without standalone fences.
  */
 

@@ -41,6 +41,23 @@ bits(std::uint64_t v, unsigned lo, unsigned n)
 }
 
 /**
+ * SWAR zero-lane test over the four 16-bit lanes of @p lanes: the
+ * high bit of each lane that may equal @p fp16 (< 2^16) is set. For
+ * x = lanes ^ splat(fp16), (x - ones) & ~x & high can flag a nonzero
+ * lane only when a borrow propagates into it from a genuinely zero
+ * lane below, so the *lowest* flagged lane is always a true match;
+ * a caller that needs every match verifies each higher flag.
+ */
+constexpr std::uint64_t
+matchLanes16(std::uint64_t lanes, std::uint64_t fp16)
+{
+    constexpr std::uint64_t ones = 0x0001000100010001ULL;
+    constexpr std::uint64_t high = 0x8000800080008000ULL;
+    const std::uint64_t x = lanes ^ (fp16 * ones);
+    return (x - ones) & ~x & high;
+}
+
+/**
  * Fold @p v down to @p n bits by XOR-ing successive n-bit groups.
  * Used for the XOR variant of partial tags (Sec. 3.1 mentions "XOR of
  * bit groups" as an alternative to low-order bits).

@@ -3,7 +3,8 @@
  * Behavioural tests of the adaptive key-value cache: API semantics
  * (get/fetch/put/erase/pin), capacity enforcement, fixed-policy
  * eviction order, pinned-entry protection including the all-pinned
- * rejection path, and stats plumbing.
+ * rejection path, stats plumbing, and the bucket fingerprint index
+ * under aliasing and overflow in both read modes.
  */
 
 #include "kv/adaptive_kv_cache.hh"
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -389,6 +391,108 @@ TEST(KvCacheTest, GetManyVectorOverloadAndEmptyBatch)
     EXPECT_EQ(got[0], std::optional<std::string>("three"));
     EXPECT_FALSE(got[1].has_value());
 }
+
+/**
+ * Keys that share a shard, a bucket and the low 16 bits of their tag
+ * (the bucket index's fingerprint), so every index slot's fingerprint
+ * matches every probe, and 40 of them overflow a 16-slot index into
+ * the bucket chain. Each get and getMany must still return the key's
+ * own value: a probe that trusts a fingerprint without comparing keys
+ * fails here, and so does one that skips the chain.
+ */
+class KvBucketIndexTest : public ::testing::TestWithParam<bool>
+{
+  protected:
+    /** Two shards of 8 buckets, roomy enough that nothing is
+     *  evicted; lock-free reads per the parameter. */
+    static KvConfig
+    config()
+    {
+        KvConfig c = smallConfig(SelectorMode::FixedLru, 256);
+        c.numShards = 2;
+        c.lockFreeReads = GetParam();
+        return c;
+    }
+
+    /** Alias @p i of key 5: shard 1, bucket 2, fingerprint 0. */
+    static KvKey
+    alias(unsigned i)
+    {
+        constexpr unsigned kShift = 16 + 3 + 1; // fp + bucket + shard
+        return 5 + (KvKey(i) << kShift);
+    }
+
+    void
+    put(KvKey key, const std::string &value)
+    {
+        cache_.put(key, value);
+        expected_[key] = value;
+    }
+
+    void
+    erase(KvKey key)
+    {
+        EXPECT_TRUE(cache_.erase(key)) << "key " << key;
+        expected_.erase(key);
+    }
+
+    /** Every alias ever used, resident or not, through get and
+     *  getMany. */
+    void
+    expectValues(unsigned aliases)
+    {
+        std::vector<KvKey> keys;
+        for (unsigned i = 0; i < aliases; ++i)
+            keys.push_back(alias(i));
+        const std::vector<std::optional<std::string>> many =
+            cache_.getMany(std::span<const KvKey>(keys));
+        ASSERT_EQ(many.size(), keys.size());
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            const auto it = expected_.find(keys[i]);
+            const std::optional<std::string> want =
+                it == expected_.end()
+                    ? std::nullopt
+                    : std::optional<std::string>(it->second);
+            EXPECT_EQ(cache_.get(keys[i]), want) << "alias " << i;
+            EXPECT_EQ(many[i], want) << "alias " << i << " (getMany)";
+        }
+        EXPECT_EQ(cache_.size(), expected_.size());
+    }
+
+    AdaptiveKvCache cache_{config()};
+    std::map<KvKey, std::string> expected_;
+};
+
+TEST_P(KvBucketIndexTest, AliasedFingerprintsAndOverflowKeepValues)
+{
+    constexpr unsigned kKeys = 40;
+    for (unsigned i = 0; i < kKeys; ++i)
+        put(alias(i), "v" + std::to_string(i));
+    ASSERT_EQ(cache_.shard(1).size(), kKeys);
+    expectValues(kKeys + 2);
+
+    // The first 16 puts took the slots; the rest sit in the chain.
+    for (const unsigned i : {0u, 3u, 15u, 16u, 27u, 39u})
+        erase(alias(i));
+    expectValues(kKeys + 2);
+
+    // Re-puts take the freed slots; an overwrite of a chained key
+    // stays one entry.
+    for (const unsigned i : {3u, 27u, 40u, 41u})
+        put(alias(i), "w" + std::to_string(i));
+    const KvOutcome overwrite = cache_.put(alias(30), "w30");
+    EXPECT_TRUE(overwrite.hit);
+    EXPECT_FALSE(overwrite.inserted);
+    expected_[alias(30)] = "w30";
+    expectValues(kKeys + 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(LockedAndLockFree, KvBucketIndexTest,
+                         ::testing::Values(false, true),
+                         [](const auto &info) {
+                             return info.param ? "lockfree"
+                                               : "locked";
+                         });
 
 TEST(KvCacheTest, DescribeNamesTheConfiguration)
 {

@@ -6,8 +6,9 @@
  * leader sampling, shadow tag width, component pair, read mode and
  * key hash. Every config runs a single-thread fuzzer schedule (put,
  * pinned put, fetch, get, MGet, erase, pin, unpin, TTL puts and
- * clock advances) and the four teststream motifs as fetch streams. A divergence fails with the ddmin-shrunk schedule as a
- * replayable literal.
+ * clock advances) and the four teststream motifs as fetch streams,
+ * in 16 buckets and in one or two overflowing ones. A divergence
+ * fails with the ddmin-shrunk schedule as a replayable literal.
  */
 
 #include "oracle/kv_lockstep.hh"
@@ -153,6 +154,18 @@ TEST(KvLockstepTest, FixedLfuAgreesForEveryComponentPair)
         baseConfig(SelectorMode::FixedLfu, kAdmLruVsLru), 59);
     expectMatrixAgrees(
         baseConfig(SelectorMode::FixedLfu, kAdmLruVsLfu), 61);
+}
+
+TEST(KvLockstepTest, OverflowingBucketsAgree)
+{
+    // Capacity 64 in one and in two buckets: 32 to 64 entries a
+    // bucket, far past its 16 index slots, so probes and unlinks
+    // reach the chain and freed slots are reused.
+    for (const unsigned buckets : {1u, 2u}) {
+        KvConfig base = baseConfig(SelectorMode::Adaptive, kLruVsLfu);
+        base.numBuckets = buckets;
+        expectMatrixAgrees(base, 67 + buckets);
+    }
 }
 
 /**

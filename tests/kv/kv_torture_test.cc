@@ -37,13 +37,16 @@ namespace adcache::kv
 namespace
 {
 
+/** @p buckets = 1 puts a whole shard in one bucket, so most entries
+ *  overflow its index slots into the chain. */
 KvConfig
-tortureConfig(unsigned shards, std::uint64_t capacity)
+tortureConfig(unsigned shards, std::uint64_t capacity,
+              unsigned buckets = 128)
 {
     KvConfig c;
     c.capacity = capacity;
     c.numShards = shards;
-    c.numBuckets = 128;
+    c.numBuckets = buckets;
     c.bucketWays = 4;
     c.leaderEvery = 4;
     c.shadowTagBits = 12;
@@ -236,79 +239,88 @@ TEST(KvTortureTest, ReadersVsThrashingWriterKeepValueIdentity)
     // forcing continuous eviction, unlink, and epoch reclamation
     // under the readers' feet. Every hit must return that key's
     // value; a torn read or recycled entry surfaces as a mismatch
-    // (and as a TSan report under the tsan preset).
-    AdaptiveKvCache cache(tortureConfig(4, 512));
-    const std::uint64_t keyspace = 4096;
-    const unsigned threads = 4;
-    std::atomic<std::uint64_t> mismatches{0};
+    // (and as a TSan report under the tsan preset). With one bucket
+    // a shard, slot reuse and the chain walk race too.
+    for (const unsigned buckets : {128u, 1u}) {
+        SCOPED_TRACE(testing::Message() << buckets << " buckets");
+        AdaptiveKvCache cache(tortureConfig(4, 512, buckets));
+        const std::uint64_t keyspace = 4096;
+        const unsigned threads = 4;
+        std::atomic<std::uint64_t> mismatches{0};
 
-    runIndexed(threads, threads, [&](std::size_t t) {
-        Rng rng(1000 + t);
-        if (t == 0) {
-            for (int i = 0; i < 60'000; ++i) {
-                const KvKey k = rng.below(keyspace);
-                cache.put(k, kvExpectedValue(k));
-                if (i % 17 == 0)
-                    cache.erase(rng.below(keyspace));
-            }
-        } else {
-            for (int i = 0; i < 60'000; ++i) {
-                const KvKey k = rng.zipfApprox(keyspace, 0.99);
-                if (auto v = cache.get(k)) {
-                    if (*v != kvExpectedValue(k))
-                        mismatches.fetch_add(1);
+        runIndexed(threads, threads, [&](std::size_t t) {
+            Rng rng(1000 + t);
+            if (t == 0) {
+                for (int i = 0; i < 60'000; ++i) {
+                    const KvKey k = rng.below(keyspace);
+                    cache.put(k, kvExpectedValue(k));
+                    if (i % 17 == 0)
+                        cache.erase(rng.below(keyspace));
+                }
+            } else {
+                for (int i = 0; i < 60'000; ++i) {
+                    const KvKey k = rng.zipfApprox(keyspace, 0.99);
+                    if (auto v = cache.get(k)) {
+                        if (*v != kvExpectedValue(k))
+                            mismatches.fetch_add(1);
+                    }
                 }
             }
-        }
-    });
+        });
 
-    EXPECT_EQ(mismatches.load(), 0u);
-    expectAccountingBalanced(cache);
+        EXPECT_EQ(mismatches.load(), 0u);
+        expectAccountingBalanced(cache);
 
-    // The retry/slow-path counters are the observable trace of the
-    // optimistic protocol; they must at least be self-consistent.
-    KvShardStats total;
-    for (unsigned s = 0; s < cache.numShards(); ++s)
-        total.add(cache.shard(s).stats());
-    EXPECT_GT(total.gets, 0u);
-    EXPECT_GT(total.getHits, 0u);
+        // The retry/slow-path counters are the observable trace of
+        // the optimistic protocol; they must at least be
+        // self-consistent.
+        KvShardStats total;
+        for (unsigned s = 0; s < cache.numShards(); ++s)
+            total.add(cache.shard(s).stats());
+        EXPECT_GT(total.gets, 0u);
+        EXPECT_GT(total.getHits, 0u);
+    }
 }
 
 TEST(KvTortureTest, PinnedKeysAlwaysHitUnderThrash)
 {
     // A pinned key must survive any eviction storm, and every
-    // lock-free read of it must hit with the right value.
-    AdaptiveKvCache cache(tortureConfig(4, 256));
-    const std::vector<KvKey> pinned = {3, 1'000'003, 2'000'003,
-                                       3'000'003};
-    for (const KvKey k : pinned)
-        cache.put(k, kvExpectedValue(k), /*pinned=*/true);
+    // lock-free read of it must hit with the right value, also when
+    // the storm reuses the slots of its one bucket.
+    for (const unsigned buckets : {128u, 1u}) {
+        SCOPED_TRACE(testing::Message() << buckets << " buckets");
+        AdaptiveKvCache cache(tortureConfig(4, 256, buckets));
+        const std::vector<KvKey> pinned = {3, 1'000'003, 2'000'003,
+                                           3'000'003};
+        for (const KvKey k : pinned)
+            cache.put(k, kvExpectedValue(k), /*pinned=*/true);
 
-    const unsigned threads = 4;
-    std::atomic<std::uint64_t> lost{0};
-    runIndexed(threads, threads, [&](std::size_t t) {
-        Rng rng(77 + t);
-        if (t == 0) {
-            for (int i = 0; i < 50'000; ++i) {
-                const KvKey k = 10'000 + rng.below(8192);
-                cache.put(k, kvExpectedValue(k));
+        const unsigned threads = 4;
+        std::atomic<std::uint64_t> lost{0};
+        runIndexed(threads, threads, [&](std::size_t t) {
+            Rng rng(77 + t);
+            if (t == 0) {
+                for (int i = 0; i < 50'000; ++i) {
+                    const KvKey k = 10'000 + rng.below(8192);
+                    cache.put(k, kvExpectedValue(k));
+                }
+            } else {
+                for (int i = 0; i < 50'000; ++i) {
+                    const KvKey k = pinned[rng.below(pinned.size())];
+                    auto v = cache.get(k);
+                    if (!v || *v != kvExpectedValue(k))
+                        lost.fetch_add(1);
+                }
             }
-        } else {
-            for (int i = 0; i < 50'000; ++i) {
-                const KvKey k = pinned[rng.below(pinned.size())];
-                auto v = cache.get(k);
-                if (!v || *v != kvExpectedValue(k))
-                    lost.fetch_add(1);
-            }
+        });
+
+        EXPECT_EQ(lost.load(), 0u);
+        for (const KvKey k : pinned) {
+            EXPECT_TRUE(cache.contains(k)) << "pinned key " << k;
+            EXPECT_EQ(*cache.get(k), kvExpectedValue(k));
         }
-    });
-
-    EXPECT_EQ(lost.load(), 0u);
-    for (const KvKey k : pinned) {
-        EXPECT_TRUE(cache.contains(k)) << "pinned key " << k;
-        EXPECT_EQ(*cache.get(k), kvExpectedValue(k));
+        expectAccountingBalanced(cache);
     }
-    expectAccountingBalanced(cache);
 }
 
 TEST(KvTortureTest, PinUnpinRacesKeepAccounting)

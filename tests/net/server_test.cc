@@ -21,6 +21,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "net/protocol.hh"
 #include "net/server.hh"
 #include "net/service.hh"
+#include "net/stats_v2.hh"
 #include "workloads/key_stream.hh"
 
 using namespace adcache;
@@ -51,13 +53,23 @@ smallService(bool read_through = false)
     return c;
 }
 
-/** Raw blocking client socket to 127.0.0.1:@p port (-1 on failure). */
+/**
+ * Raw blocking client socket to 127.0.0.1:@p port (-1 on failure).
+ * A nonzero @p rcvbuf sets SO_RCVBUF before connect, so the window
+ * the handshake advertises already fits it.
+ */
 int
-rawConnect(std::uint16_t port)
+rawConnect(std::uint16_t port, int rcvbuf = 0)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
         return -1;
+    if (rcvbuf != 0 &&
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                     sizeof rcvbuf) != 0) {
+        ::close(fd);
+        return -1;
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -415,30 +427,60 @@ TEST_F(ServerTest, MGetOverTheWire)
     }
 }
 
+/** The largest send buffer TCP autotuning grows a socket to
+ *  (tcp_wmem's third field), 4 MiB if it cannot be read. */
+std::size_t
+tcpSendBufferCeiling()
+{
+    std::ifstream in("/proc/sys/net/ipv4/tcp_wmem");
+    std::size_t min = 0, initial = 0, max = 0;
+    if (in >> min >> initial >> max && max > 0)
+        return max;
+    return std::size_t{4} << 20;
+}
+
+/** The server's backpressure_parks count, read through Stats v2. */
+std::uint64_t
+backpressureParks(const KvService &service)
+{
+    std::uint16_t shards = 0;
+    std::vector<StatSample> samples;
+    EXPECT_TRUE(decodeStatsV2(service.statsV2(), &shards, &samples));
+    for (const StatSample &s : samples)
+        if (s.tag == StatTag::BackpressureParks)
+            return s.value;
+    ADD_FAILURE() << "no backpressure_parks sample";
+    return 0;
+}
+
 TEST_F(ServerTest, BackpressuredFlushDeliversEverything)
 {
     // Short-write injection: a client with a tiny receive buffer
-    // pipelines many large-value reads and only starts reading after
-    // the whole burst is sent. The server's flush hits EAGAIN, parks
-    // the tail in the per-connection output buffer, and drains it
-    // under POLLOUT — every response must still arrive, in order.
+    // pipelines large-value reads worth twice the largest send
+    // buffer the server's socket can grow to, and only starts reading
+    // after the whole burst is sent. The server's flush must hit
+    // EAGAIN, park the tail in the per-connection output buffer and
+    // drain it under POLLOUT; every response must still arrive, in
+    // order.
     startServer();
+    server_->installStatsProvider();
     KvClient writer;
     ASSERT_TRUE(writer.connect("127.0.0.1", server_->port()));
-    const std::string big(8 * 1024, 'B');
-    ASSERT_TRUE(writer.put(42, big));
-
-    const int fd = rawConnect(server_->port());
-    ASSERT_GE(fd, 0);
-    {
-        const int tiny = 4096;
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &tiny,
-                     sizeof tiny);
+    constexpr std::size_t kValueBytes = 8 * 1024;
+    constexpr std::uint64_t kKeys = 4;
+    std::vector<std::string> values;
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+        values.emplace_back(kValueBytes, char('A' + k));
+        ASSERT_TRUE(writer.put(42 + k, values.back()));
     }
-    constexpr int kRequests = 128; // ~1MB of responses
+
+    const int fd = rawConnect(server_->port(), /*rcvbuf=*/4096);
+    ASSERT_GE(fd, 0);
+    const std::size_t requests =
+        2 * tcpSendBufferCeiling() / kValueBytes;
     std::string burst;
-    for (int i = 0; i < kRequests; ++i)
-        encodeFrame(Message::get(42), &burst);
+    for (std::size_t i = 0; i < requests; ++i)
+        encodeFrame(Message::get(42 + i % kKeys), &burst);
     ASSERT_TRUE(rawSendAll(fd, burst));
     // Let the server read the burst and jam against the socket.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -448,15 +490,16 @@ TEST_F(ServerTest, BackpressuredFlushDeliversEverything)
     FrameReader reader;
     std::string_view body;
     char buf[4096];
-    int seen = 0;
-    while (seen < kRequests) {
+    std::size_t seen = 0;
+    while (seen < requests) {
         switch (reader.next(&body)) {
           case FrameReader::Status::Frame: {
             Message resp;
             ASSERT_TRUE(decodeBody(body, &resp));
             ASSERT_EQ(resp.kind, MsgKind::Value)
                 << "response " << seen;
-            EXPECT_EQ(resp.payload, big) << "response " << seen;
+            ASSERT_EQ(resp.payload, values[seen % kKeys])
+                << "response " << seen;
             ++seen;
             continue;
           }
@@ -472,6 +515,7 @@ TEST_F(ServerTest, BackpressuredFlushDeliversEverything)
         reader.feed(std::string_view(buf, std::size_t(n)));
     }
     ::close(fd);
+    EXPECT_GT(backpressureParks(*service_), 0u);
 }
 
 TEST_F(ServerTest, PeerHangupMidFlushKillsOnlyThatConnection)

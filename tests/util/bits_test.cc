@@ -44,6 +44,20 @@ TEST(Bits, ExtractBits)
     EXPECT_EQ(bits(0xABCD, 8, 8), 0xABu);
 }
 
+TEST(Bits, MatchLanes16FlagsEveryEqualLane)
+{
+    // Lanes, low to high: 0x1234, 0xBEEF, 0x1234, 0x0000.
+    const std::uint64_t lanes = 0x0000'1234'BEEF'1234ULL;
+    EXPECT_EQ(matchLanes16(lanes, 0x1234), 0x0000'8000'0000'8000ULL);
+    EXPECT_EQ(matchLanes16(lanes, 0xBEEF), 0x0000'0000'8000'0000ULL);
+    EXPECT_EQ(matchLanes16(lanes, 0x0000), 0x8000'0000'0000'0000ULL);
+    EXPECT_EQ(matchLanes16(lanes, 0x1235), 0u);
+    // The borrow out of a matching lane 0x0000 flags the 0x0001 lane
+    // above it too; the lowest flag is always a true match.
+    EXPECT_EQ(matchLanes16(0xFFFF'FFFF'0001'0000ULL, 0x0000),
+              0x0000'0000'8000'8000ULL);
+}
+
 TEST(Bits, XorFoldKnownValues)
 {
     // 0xABCD folded to 8 bits: 0xCD ^ 0xAB = 0x66.
