@@ -94,6 +94,8 @@ pairFactoryFor(const std::string &config_line)
         c.lineSize = line;
         c.partialTagBits = unsigned(numberOr(kv, "partial", 0));
         c.xorFoldTags = numberOr(kv, "xor", 0) != 0;
+        c.historyDepth = unsigned(numberOr(kv, "history", 0));
+        c.exactCounters = numberOr(kv, "exact", 0) != 0;
         c.policies.clear();
         std::istringstream list(stringOr(kv, "policies", "lru+lfu"));
         std::string name;
@@ -209,6 +211,10 @@ adaptiveConfigLine(const AdaptiveConfig &config)
         << " line=" << config.lineSize
         << " partial=" << config.partialTagBits
         << " xor=" << (config.xorFoldTags ? 1 : 0);
+    if (config.historyDepth != 0)
+        out << " history=" << config.historyDepth;
+    if (config.exactCounters)
+        out << " exact=1";
     if (!config.admission.empty()) {
         out << " admit=";
         for (std::size_t k = 0; k < config.admission.size(); ++k) {

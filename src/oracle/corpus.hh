@@ -11,7 +11,9 @@
  * Config-line grammar (keys may appear in any order):
  *   config cache policy=lru size=4096 assoc=4 line=64
  *   config adaptive policies=lru+lfu size=4096 assoc=4 line=64 \
- *          partial=8 xor=0
+ *          partial=8 xor=0 history=16 exact=0 admit=0+1
+ *   (adaptive: history=0 or absent is the associativity, exact=1
+ *   selects exact counters; absent keys take the defaults)
  *   config sbar pola=lru polb=lfu size=65536 assoc=8 line=64 \
  *          leaders=8 partial=0 xor=0 psel=10 history=0
  */

@@ -146,15 +146,16 @@ class CachePair : public LockstepPair
 
 // ---------------------------------------------------------------- //
 
-/** AdaptiveCache (exact counters) vs RefAdaptiveCache. */
+/** AdaptiveCache vs RefAdaptiveCache, in the config's selector form. */
 class AdaptivePair : public LockstepPair
 {
   public:
     explicit AdaptivePair(const AdaptiveConfig &config)
-        : production_(withExactCounters(config)),
+        : production_(config),
           oracle_(refGeometryOf(config.geometry()), config.policies,
                   config.partialTagBits, config.xorFoldTags,
-                  config.admission)
+                  config.admission, config.historyDepth,
+                  config.exactCounters)
     {
         for (PolicyType p : config.policies)
             adcache_assert(refPolicySupported(p));
@@ -243,13 +244,6 @@ class AdaptivePair : public LockstepPair
     }
 
   private:
-    static AdaptiveConfig
-    withExactCounters(AdaptiveConfig config)
-    {
-        config.exactCounters = true;
-        return config;
-    }
-
     AdaptiveCache production_;
     RefAdaptiveCache oracle_;
 };

@@ -11,8 +11,8 @@
  * factory over an access stream and reports the first divergence.
  *
  * Pairs exist for every production organisation: conventional Cache,
- * AdaptiveCache (exact-counter form), multi-policy AdaptiveCache,
- * and SbarCache. makeBuggyCachePair() deliberately mispairs the
+ * AdaptiveCache (windowed or exact-counter selector, as configured),
+ * multi-policy AdaptiveCache, and SbarCache. makeBuggyCachePair() deliberately mispairs the
  * production policy with a different oracle — the harness's own
  * smoke test: it must diverge, and the fuzzer must shrink it.
  */
@@ -120,9 +120,10 @@ PairFactory makeBuggyCachePair(const CacheConfig &config,
                                PolicyType oracle_policy);
 
 /**
- * Adaptive cache vs reference Algorithm 1. The production cache is
- * forced to exact counters (the oracle's selector form); every
- * component policy must have a reference model.
+ * Adaptive cache vs reference Algorithm 1, in the selector form the
+ * config names: the windowed history of depth historyDepth (0 = the
+ * associativity), or exact counters. Every component policy must
+ * have a reference model.
  */
 PairFactory makeAdaptivePair(const AdaptiveConfig &config);
 

@@ -8,8 +8,9 @@ namespace adcache
 RefAdaptiveCache::RefAdaptiveCache(
     const RefGeometry &geom, const std::vector<PolicyType> &policies,
     unsigned partial_bits, bool xor_fold,
-    const std::vector<std::uint8_t> &admission)
-    : geom_(geom)
+    const std::vector<std::uint8_t> &admission, unsigned history_depth,
+    bool exact_counters)
+    : geom_(geom), exact_(exact_counters)
 {
     adcache_assert(policies.size() >= 2);
     adcache_assert(admission.empty() ||
@@ -29,8 +30,15 @@ RefAdaptiveCache::RefAdaptiveCache(
             admit ? admission_.get() : nullptr));
     }
     sets_.assign(geom.numSets, std::vector<Way>(geom.assoc));
-    counters_.assign(geom.numSets,
-                     RefExactCounters(unsigned(policies.size())));
+    const auto num_policies = unsigned(policies.size());
+    if (exact_counters)
+        counters_.assign(geom.numSets, RefExactCounters(num_policies));
+    else
+        windows_.assign(geom.numSets,
+                        RefWindowHistory(history_depth != 0
+                                             ? history_depth
+                                             : geom.assoc,
+                                         num_policies));
     decisions_.assign(geom.numSets,
                       std::vector<std::uint64_t>(policies.size(), 0));
     fallbackPtr_.assign(geom.numSets, 0);
@@ -45,7 +53,14 @@ RefAdaptiveCache::shadowMisses(unsigned k) const
 std::uint64_t
 RefAdaptiveCache::counterOf(unsigned set, unsigned k) const
 {
-    return counters_.at(set).count(k);
+    return exact_ ? counters_.at(set).count(k)
+                  : windows_.at(set).count(k);
+}
+
+unsigned
+RefAdaptiveCache::bestOf(unsigned set) const
+{
+    return exact_ ? counters_[set].best() : windows_[set].best();
 }
 
 std::uint64_t
@@ -134,8 +149,12 @@ RefAdaptiveCache::access(Addr addr, bool is_write)
     // Only differentiating misses (proper non-empty subsets) train
     // the selector.
     const std::uint32_t all = (1u << num_policies) - 1;
-    if (miss_mask != 0 && miss_mask != all)
-        counters_[set].record(miss_mask);
+    if (miss_mask != 0 && miss_mask != all) {
+        if (exact_)
+            counters_[set].record(miss_mask);
+        else
+            windows_[set].record(miss_mask);
+    }
 
     std::vector<Way> &ways = sets_[set];
     for (Way &w : ways) {
@@ -158,7 +177,7 @@ RefAdaptiveCache::access(Addr addr, bool is_write)
         }
     }
     if (fill == geom_.assoc) {
-        const unsigned winner = counters_[set].best();
+        const unsigned winner = bestOf(set);
         out.replaced = true;
         out.winner = winner;
         ++decisions_[set][winner];

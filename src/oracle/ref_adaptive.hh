@@ -1,11 +1,13 @@
 /**
  * @file
- * Reference model of the adaptive cache (Algorithm 1), in the exact
- * per-set differentiating-miss-counter form the Appendix's 2x
- * theorem is proved for.
+ * Reference model of the adaptive cache (Algorithm 1), in either
+ * selector form the production cache ships: the windowed per-set
+ * differentiating-miss history every figure runs (RefWindowHistory,
+ * depth m), or the exact since-start counters the Appendix's 2x
+ * theorem is proved for (RefExactCounters).
  *
- * Components are reference shadow arrays (RefCache), the selector is
- * RefExactCounters, and the victim-selection cases 1-3 of Algorithm 1
+ * Components are reference shadow arrays (RefCache), and the
+ * victim-selection cases 1-3 of Algorithm 1
  * are transcribed directly from the paper: follow the imitated
  * component's eviction if that block is resident, otherwise evict any
  * resident block outside the imitated component's contents, otherwise
@@ -49,11 +51,17 @@ class RefAdaptiveCache
      *                  component's shadow bypasses refused fills and
      *                  the adaptive array imitates the winner's
      *                  verdict, matching the production AdaptiveCache.
+     * @param history_depth window depth m of each set's history; 0
+     *                  selects the associativity (the paper default).
+     * @param exact_counters exact since-start counters instead of the
+     *                  window (@p history_depth is then ignored).
      */
     RefAdaptiveCache(const RefGeometry &geom,
                      const std::vector<PolicyType> &policies,
                      unsigned partial_bits = 0, bool xor_fold = false,
-                     const std::vector<std::uint8_t> &admission = {});
+                     const std::vector<std::uint8_t> &admission = {},
+                     unsigned history_depth = 0,
+                     bool exact_counters = false);
 
     RefAdaptiveOutcome access(Addr addr, bool is_write);
 
@@ -63,7 +71,8 @@ class RefAdaptiveCache
     unsigned numPolicies() const { return unsigned(shadows_.size()); }
     std::uint64_t shadowMisses(unsigned k) const;
 
-    /** Exact differentiating-miss counter of component @p k in @p set. */
+    /** Differentiating misses of component @p k recorded in @p set
+     *  (windowed or exact, per the selector form). */
     std::uint64_t counterOf(unsigned set, unsigned k) const;
 
     /** Replacement decisions imitating component @p k in @p set. */
@@ -86,6 +95,9 @@ class RefAdaptiveCache
         bool dirty = false;
     };
 
+    /** Component @p set imitates: the fewest recorded misses. */
+    unsigned bestOf(unsigned set) const;
+
     unsigned chooseVictim(unsigned set, unsigned winner,
                           const RefOutcome &winner_outcome,
                           bool *used_fallback);
@@ -96,6 +108,8 @@ class RefAdaptiveCache
     std::unique_ptr<RefTinyLfu> admission_;
     std::vector<std::unique_ptr<RefCache>> shadows_;
     std::vector<std::vector<Way>> sets_;
+    bool exact_;
+    std::vector<RefWindowHistory> windows_;             // per set
     std::vector<RefExactCounters> counters_;            // per set
     std::vector<std::vector<std::uint64_t>> decisions_; // [set][k]
     std::vector<unsigned> fallbackPtr_;                 // per set
