@@ -483,8 +483,9 @@ KvShard::reference(KvKey key, std::uint64_t h,
     // The admission filter sees every candidate before any component
     // simulation consults it (same order as AdaptiveCache and the
     // oracle).
+    adapt::SketchColumns candidate;
     if (admission_)
-        admission_->touch(admitKey(tag));
+        candidate = admission_->touch(admitKey(tag));
 
     // Every filling reference updates the component simulations and
     // (on a differentiating miss) the selection history — before the
@@ -493,7 +494,7 @@ KvShard::reference(KvKey key, std::uint64_t h,
     if (leader) {
         std::uint32_t miss_mask = 0;
         for (unsigned k = 0; k < kvNumComponents; ++k) {
-            shadow_out[k] = shadows_[k]->access(bucket, tag);
+            shadow_out[k] = shadows_[k]->access(bucket, tag, candidate);
             if (shadow_out[k].miss)
                 miss_mask |= 1u << k;
         }
@@ -559,7 +560,7 @@ KvShard::reference(KvKey key, std::uint64_t h,
         // follower buckets or fixed selectors.
         if (victim && admission_ &&
             config_.components[winner].admission &&
-            !admission_->admit(admitKey(tag), admitKey(victim->tag))) {
+            !admission_->admit(candidate, admitKey(victim->tag))) {
             out.admitRejected = true;
             ++stats_.admitRejects;
             if (obs::traceEnabled())

@@ -37,9 +37,10 @@ KvShadowDir::addrOf(std::uint32_t bucket, std::uint64_t key_tag) const
 }
 
 ShadowOutcome
-KvShadowDir::access(std::uint32_t bucket, std::uint64_t key_tag)
+KvShadowDir::access(std::uint32_t bucket, std::uint64_t key_tag,
+                    adapt::SketchColumns candidate)
 {
-    return shadow_.access(addrOf(bucket, key_tag));
+    return shadow_.access(addrOf(bucket, key_tag), candidate);
 }
 
 Addr

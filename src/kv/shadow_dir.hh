@@ -35,14 +35,17 @@ class KvShadowDir
      *                     folded by keeping the low bits.
      * @param rng          shared generator (stochastic policies).
      * @param admission    optional TinyLFU filter (not owned); the
-     *                     owning shard touch()es it per reference.
+     *                     owning shard touch()es it per reference and
+     *                     passes the columns to access().
      */
     KvShadowDir(unsigned num_buckets, unsigned ways, PolicyType policy,
                 unsigned partial_bits, Rng *rng,
                 const adapt::TinyLfuAdmission *admission = nullptr);
 
-    /** Simulate the component policy for one key reference. */
-    ShadowOutcome access(std::uint32_t bucket, std::uint64_t key_tag);
+    /** Simulate the component policy for one key reference;
+     *  @p candidate is the admission filter's touch() of this key. */
+    ShadowOutcome access(std::uint32_t bucket, std::uint64_t key_tag,
+                         adapt::SketchColumns candidate = {});
 
     /** Fold a key tag into the stored-tag domain. */
     Addr foldTag(std::uint64_t key_tag) const;
