@@ -75,17 +75,18 @@ class Selector
             return false;
         if (miss_mask == 0 || miss_mask == allMask_)
             return false;
-        history_->record(domain, miss_mask);
-        const unsigned w = history_->best(domain);
-        if (w == lastWinner_[domain])
+        if (!history_->record(domain, miss_mask))
             return false;
-        lastWinner_[domain] = std::uint8_t(w);
         ++flips_;
         return true;
     }
 
     /** The component @p domain imitates right now. */
-    unsigned winner(unsigned domain) const { return lastWinner_[domain]; }
+    unsigned
+    winner(unsigned domain) const
+    {
+        return history_ ? history_->best(domain) : fixedWinner_;
+    }
 
     /** Recorded miss weight of component @p k (0 in fixed mode). */
     std::uint64_t
@@ -107,7 +108,7 @@ class Selector
         : numComponents_(num_components),
           allMask_(num_components >= 32 ? ~std::uint32_t{0}
                                         : (1u << num_components) - 1),
-          lastWinner_(num_domains, std::uint8_t(winner))
+          fixedWinner_(winner)
     {
         adcache_assert(num_components >= 1 && num_components <= 32);
         if (adaptive)
@@ -117,10 +118,8 @@ class Selector
 
     unsigned numComponents_;
     std::uint32_t allMask_;
+    unsigned fixedWinner_;
     std::optional<HistorySet> history_; ///< disengaged in fixed mode
-    /** Winner cache per domain; record() keeps it equal to
-     *  history_->best(domain), making winner() O(1). */
-    std::vector<std::uint8_t> lastWinner_;
     std::uint64_t flips_ = 0;
 };
 

@@ -141,7 +141,8 @@ TEST(KvTouchTest, DrainMatchesStampLanesRankOracle)
     AdaptiveKvCache cache(config);
     for (KvKey k = 0; k < kKeys; ++k)
         cache.put(k, "v");
-    StampLanes8 oracle(1, kKeys);
+    SetRows oracle_words(1, StampLanes8::kWords);
+    StampLanes8 oracle(oracle_words.words(), kKeys);
     for (unsigned w = 0; w < kKeys; ++w)
         oracle.bump(0, w); // insertion order, matching the puts
 
