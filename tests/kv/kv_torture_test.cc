@@ -240,13 +240,16 @@ TEST(KvTortureTest, ReadersVsThrashingWriterKeepValueIdentity)
     // under the readers' feet. Every hit must return that key's
     // value; a torn read or recycled entry surfaces as a mismatch
     // (and as a TSan report under the tsan preset). With one bucket
-    // a shard, slot reuse and the chain walk race too.
+    // a shard, slot reuse and the chain walk race too. The readers
+    // keep reading until the writer is done, so they race all of the
+    // thrash, not only its start.
     for (const unsigned buckets : {128u, 1u}) {
         SCOPED_TRACE(testing::Message() << buckets << " buckets");
         AdaptiveKvCache cache(tortureConfig(4, 512, buckets));
         const std::uint64_t keyspace = 4096;
         const unsigned threads = 4;
         std::atomic<std::uint64_t> mismatches{0};
+        std::atomic<bool> writer_done{false};
 
         runIndexed(threads, threads, [&](std::size_t t) {
             Rng rng(1000 + t);
@@ -257,8 +260,9 @@ TEST(KvTortureTest, ReadersVsThrashingWriterKeepValueIdentity)
                     if (i % 17 == 0)
                         cache.erase(rng.below(keyspace));
                 }
+                writer_done.store(true);
             } else {
-                for (int i = 0; i < 60'000; ++i) {
+                for (int i = 0; i < 60'000 || !writer_done.load(); ++i) {
                     const KvKey k = rng.zipfApprox(keyspace, 0.99);
                     if (auto v = cache.get(k)) {
                         if (*v != kvExpectedValue(k))
@@ -286,7 +290,8 @@ TEST(KvTortureTest, PinnedKeysAlwaysHitUnderThrash)
 {
     // A pinned key must survive any eviction storm, and every
     // lock-free read of it must hit with the right value, also when
-    // the storm reuses the slots of its one bucket.
+    // the storm reuses the slots of its one bucket. The readers keep
+    // reading until the storm is over.
     for (const unsigned buckets : {128u, 1u}) {
         SCOPED_TRACE(testing::Message() << buckets << " buckets");
         AdaptiveKvCache cache(tortureConfig(4, 256, buckets));
@@ -297,6 +302,7 @@ TEST(KvTortureTest, PinnedKeysAlwaysHitUnderThrash)
 
         const unsigned threads = 4;
         std::atomic<std::uint64_t> lost{0};
+        std::atomic<bool> writer_done{false};
         runIndexed(threads, threads, [&](std::size_t t) {
             Rng rng(77 + t);
             if (t == 0) {
@@ -304,8 +310,9 @@ TEST(KvTortureTest, PinnedKeysAlwaysHitUnderThrash)
                     const KvKey k = 10'000 + rng.below(8192);
                     cache.put(k, kvExpectedValue(k));
                 }
+                writer_done.store(true);
             } else {
-                for (int i = 0; i < 50'000; ++i) {
+                for (int i = 0; i < 50'000 || !writer_done.load(); ++i) {
                     const KvKey k = pinned[rng.below(pinned.size())];
                     auto v = cache.get(k);
                     if (!v || *v != kvExpectedValue(k))
